@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare bench-compare-index compare-index-smoke bench-sustained sustained-smoke bench-tenants tenants-smoke replica-smoke clean
+.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare bench-sustained sustained-smoke bench-tenants tenants-smoke replica-smoke clean
 
 all: build test
 
@@ -56,31 +56,19 @@ fuzz:
 	$(GO) test ./graph -fuzz FuzzJSON -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzJournalReplay -fuzztime 30s
 	$(GO) test ./internal/store -fuzz FuzzJournalAppendAfterReplay -fuzztime 30s
-	$(GO) test ./internal/index/delta -fuzz FuzzDeltaIndex -fuzztime 30s
+	$(GO) test ./internal/index -fuzz FuzzIndexMaintenance -fuzztime 30s
 
-# The sequential/parallel differential suite at a pinned GOMAXPROCS,
-# plus the race detector over every parallelized package (the CI gate
-# for the determinism contract).
+# The sequential/parallel differential suite and the index oracle suite
+# at a pinned GOMAXPROCS, plus the race detector over every
+# parallelized package (the CI gate for the determinism contract).
 differential:
-	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|QueryIdentical|MidFanOut|AsyncCancel|Oracle|UnderDeltaMaintenance' . ./internal/core ./internal/cluster ./internal/index/delta
+	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|QueryIdentical|MidFanOut|AsyncCancel|UnderMaintenance|FuzzIndexMaintenance' . ./internal/core ./internal/cluster ./internal/index
 	$(GO) test -race -count=2 ./internal/cluster ./internal/iso ./internal/ged ./internal/parallel ./internal/index/...
 
 # Sequential vs -workers benchmark comparison (writes BENCH_PR5.json).
 bench-compare:
 	$(GO) run ./cmd/midas-bench -compare-workers 4 > BENCH_PR5.json
 	@cat BENCH_PR5.json
-
-# From-scratch vs delta-network index maintenance comparison, facts
-# cross-checked before timing (writes BENCH_PR10.json).
-bench-compare-index:
-	$(GO) run ./cmd/midas-bench -compare-index > BENCH_PR10.json
-	@cat BENCH_PR10.json
-
-# Quick version of the above for CI: tiny scale, one round, output to a
-# scratch file so the committed BENCH_PR10.json stays the real run.
-compare-index-smoke:
-	$(GO) run ./cmd/midas-bench -compare-index -scale tiny -compare-rounds 1 -json /tmp/bench_compare_index_smoke.json
-	@cat /tmp/bench_compare_index_smoke.json
 
 # Sustained-serving comparison: read latency with mutex-serialised
 # serving vs atomically-swapped snapshots, idle and during a forced

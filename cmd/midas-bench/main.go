@@ -68,9 +68,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonPath = flag.String("json", "", `write machine-readable results (tables + per-batch maintenance trace) to this file ("-" = stdout)`)
 		cmpWork  = flag.Int("compare-workers", 0, "instead of figures, replay the maintenance trace sequentially and at this worker count, verify the outputs are identical, and print the timing comparison as JSON")
-		cmpRound = flag.Int("compare-rounds", 3, "trace replays per mode in -compare-workers / -compare-index (restart-and-replay is the memo layer's workload)")
-		cmpIndex = flag.Bool("compare-index", false, "instead of figures, replay the maintenance trace with the delta index network disabled and enabled, verify the outputs are identical, and print the timing comparison as JSON")
-		noDelta  = flag.Bool("no-delta-index", false, "disable the incremental index delta network (recompute cover state from scratch each batch); output is byte-identical either way")
+		cmpRound = flag.Int("compare-rounds", 3, "trace replays per mode in -compare-workers (restart-and-replay is the memo layer's workload)")
 
 		sustained  = flag.Bool("sustained", false, "instead of figures, benchmark concurrent read serving (mutex-serialised vs snapshot pipeline) idle and during a forced major batch, and write the comparison to -sustained-out")
 		susOut     = flag.String("sustained-out", "BENCH_PR6.json", "output file for -sustained results")
@@ -98,7 +96,6 @@ func main() {
 	if *seed != 0 {
 		s.Seed = *seed
 	}
-	s.NoDeltaIndex = *noDelta
 
 	// Sustained serving mode: lock-free snapshot reads vs the old
 	// mutex-serialised architecture, idle and mid-maintenance.
@@ -125,21 +122,6 @@ func main() {
 	// reported. JSON goes to stdout (or the -json path when set).
 	if *cmpWork > 0 {
 		res, err := experiments.CompareWorkers(s, *cmpWork, *cmpRound)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		res.Scale = *scale
-		emitComparisonJSON(res, *jsonPath)
-		return
-	}
-
-	// Index comparison mode: per-batch from-scratch cover recompute vs
-	// the incremental delta network over the same trace, facts
-	// cross-checked before timing is reported. JSON goes to stdout (or
-	// the -json path when set).
-	if *cmpIndex {
-		res, err := experiments.CompareIndex(s, *cmpRound)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
 			os.Exit(1)

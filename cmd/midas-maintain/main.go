@@ -43,9 +43,8 @@ func main() {
 		sample    = flag.Int("sample", 200, "scov sample size (0 = exact)")
 		strategy  = flag.String("strategy", "multiscan", "swap strategy: multiscan | random")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "maintenance kernel fan-out width (0 = sequential reference path); results are identical at every setting")
-		noDelta   = flag.Bool("no-delta-index", false, "disable the incremental index delta network (recompute cover state from scratch each batch); results are byte-identical either way")
 		dump      = flag.Bool("patterns", false, "print the maintained pattern set in text format")
-		statePath = flag.String("state", "", "restore engine state from this bundle instead of bootstrapping")
+		statePath = flag.String("state", "", "restore engine state from this bundle instead of bootstrapping (engine options come from the bundle; of the engine flags only -workers applies)")
 		savePath  = flag.String("save", "", "write the engine state bundle here before exiting")
 	)
 	flag.Parse()
@@ -64,7 +63,6 @@ func main() {
 		Strategy:   midas.Strategy(*strategy),
 		Workers:    *workers,
 	}
-	opts.NoDeltaIndex = *noDelta
 
 	var eng *midas.Engine
 	if *statePath != "" {
@@ -84,13 +82,12 @@ func main() {
 		if err != nil {
 			fatal(err.Error())
 		}
-		eng, err = midas.LoadState(bytes.NewReader(data))
+		// Engine options come from the bundle header; only the
+		// wall-clock knob comes from the command line.
+		eng, err = midas.LoadState(bytes.NewReader(data), *workers)
 		if err != nil {
 			fatal(err.Error())
 		}
-		// The bundle header records the state, not the wall-clock knobs.
-		eng.SetWorkers(*workers)
-		eng.SetNoDeltaIndex(*noDelta)
 		fmt.Printf("restored %d graphs, %d patterns in %v\n",
 			eng.DB().Len(), len(eng.Patterns()), eng.BootstrapTime().Round(timeUnit))
 	} else {
@@ -106,7 +103,7 @@ func main() {
 		if *dump {
 			_ = graph.Write(os.Stdout, eng.Patterns())
 		}
-		saveIfAsked(eng, opts, *savePath)
+		saveIfAsked(eng, *savePath)
 		return
 	}
 
@@ -135,10 +132,10 @@ func main() {
 	if *dump {
 		_ = graph.Write(os.Stdout, eng.Patterns())
 	}
-	saveIfAsked(eng, opts, *savePath)
+	saveIfAsked(eng, *savePath)
 }
 
-func saveIfAsked(eng *midas.Engine, opts midas.Options, path string) {
+func saveIfAsked(eng *midas.Engine, path string) {
 	if path == "" {
 		return
 	}
@@ -146,7 +143,7 @@ func saveIfAsked(eng *midas.Engine, opts midas.Options, path string) {
 	// behind (the previous bundle is kept as *.prev until the new one
 	// is durable), and the next restore rolls to the nearest one.
 	err := store.SaveBundle(vfs.OS, path, func(w io.Writer) error {
-		return midas.SaveState(w, eng, opts)
+		return midas.SaveState(w, eng)
 	})
 	if err != nil {
 		fatal(err.Error())

@@ -105,7 +105,7 @@ const (
 func main() {
 	var (
 		dbPath     = flag.String("db", "", "database file to bootstrap from (text format)")
-		statePath  = flag.String("state", "", "state bundle to restore instead of bootstrapping")
+		statePath  = flag.String("state", "", "state bundle to restore instead of bootstrapping (engine options come from the bundle; of the engine flags only -workers applies)")
 		savePath   = flag.String("save", "", "write the state bundle here after each maintenance and on shutdown")
 		addr       = flag.String("addr", ":8080", "listen address")
 		gamma      = flag.Int("gamma", 20, "number of displayed patterns γ")
@@ -125,7 +125,6 @@ func main() {
 		inflight   = flag.Int("max-inflight", 0, "maximum concurrent engine-bound requests; excess requests get an immediate 503 with Retry-After (0 disables shedding)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: leaks process internals)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "maintenance kernel fan-out width (0 = sequential reference path); results are identical at every setting")
-		noDelta    = flag.Bool("no-delta-index", false, "disable the incremental index delta network (recompute cover state from scratch each batch); results are byte-identical either way")
 
 		replicaDir    = flag.String("replica-dir", "", "replication mode: node state directory (state bundle + replication log); serves /replica/* and journals every committed batch")
 		replicateFrom = flag.String("replicate-from", "", "start as a warm-standby follower of this primary base URL (requires -replica-dir); reads serve locally, writes are fenced with 503 + X-Midas-Primary")
@@ -158,12 +157,11 @@ func main() {
 			backoff:  *backoff,
 			pprofOn:  *pprofOn,
 			engine: midas.Options{
-				Budget:       midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
-				SupMin:       *supMin,
-				Epsilon:      *epsilon,
-				Seed:         *seed,
-				Workers:      *workers,
-				NoDeltaIndex: *noDelta,
+				Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
+				SupMin:  *supMin,
+				Epsilon: *epsilon,
+				Seed:    *seed,
+				Workers: *workers,
 			},
 			conflicts: map[string]bool{
 				"-state": *statePath != "", "-save": *savePath != "", "-watch": *watchDir != "",
@@ -198,12 +196,11 @@ func main() {
 			watchIvl:   *watchIvl,
 			workers:    *workers,
 			engine: midas.Options{
-				Budget:       midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
-				SupMin:       *supMin,
-				Epsilon:      *epsilon,
-				Seed:         *seed,
-				Workers:      *workers,
-				NoDeltaIndex: *noDelta,
+				Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
+				SupMin:  *supMin,
+				Epsilon: *epsilon,
+				Seed:    *seed,
+				Workers: *workers,
 			},
 			conflicts: map[string]bool{
 				"-db": *dbPath != "", "-state": *statePath != "", "-save": *savePath != "",
@@ -222,12 +219,11 @@ func main() {
 	}
 
 	opts := midas.Options{
-		Budget:       midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
-		SupMin:       *supMin,
-		Epsilon:      *epsilon,
-		Seed:         *seed,
-		Workers:      *workers,
-		NoDeltaIndex: *noDelta,
+		Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
+		SupMin:  *supMin,
+		Epsilon: *epsilon,
+		Seed:    *seed,
+		Workers: *workers,
 	}
 
 	var (
@@ -243,13 +239,12 @@ func main() {
 		logSalvage(logger, *statePath, rep)
 		degraded = rep.Degraded()
 		if err == nil {
-			eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data))
+			// Engine options come from the bundle header; only the
+			// wall-clock knob comes from the command line.
+			eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data), *workers)
 		}
 		switch {
 		case eng != nil:
-			// The bundle header records the state, not the wall-clock knobs.
-			eng.SetWorkers(*workers)
-			eng.SetNoDeltaIndex(*noDelta)
 			logger.Infof("restored state: %d graphs, %d patterns", eng.DB().Len(), len(eng.Patterns()))
 		case errors.Is(err, store.ErrCorrupt):
 			logger.Errorf("midas-serve: state bundle unrecoverable, starting degraded: %v", err)
@@ -353,7 +348,7 @@ func main() {
 		sp := saveSeconds.Start()
 		defer sp.End()
 		return store.SaveBundle(vfs.OS, *savePath, func(w io.Writer) error {
-			return midas.SaveStateMeta(w, eng, opts, m)
+			return midas.SaveStateMeta(w, eng, m)
 		})
 	}
 	if *savePath != "" {

@@ -21,20 +21,13 @@ type reportFacts struct {
 }
 
 // runBundleTrace bootstraps an engine, replays a two-batch trace, and
-// returns the saved state bundle plus the report facts per batch. The
-// bundle is saved with Workers and NoDeltaIndex normalised so the
-// header reflects the state, not the knobs that produced it.
+// returns the saved state bundle plus the report facts per batch.
 func runBundleTrace(t *testing.T, seed int64, workers int) ([]byte, []reportFacts) {
-	return runBundleTraceMode(t, seed, workers, false)
-}
-
-func runBundleTraceMode(t *testing.T, seed int64, workers int, noDelta bool) ([]byte, []reportFacts) {
 	t.Helper()
 	opts := smallOptions()
 	opts.Seed = seed
 	opts.Epsilon = 0.01
 	opts.Workers = workers
-	opts.NoDeltaIndex = noDelta
 	db := dataset.PubChemLike().GenerateDB(24, seed)
 	e := New(db, opts)
 	var facts []reportFacts
@@ -53,11 +46,8 @@ func runBundleTraceMode(t *testing.T, seed int64, workers int, noDelta bool) ([]
 			Candidates: rep.Candidates,
 		})
 	}
-	saveOpts := opts
-	saveOpts.Workers = 0
-	saveOpts.NoDeltaIndex = false
 	var buf bytes.Buffer
-	if err := SaveState(&buf, e, saveOpts); err != nil {
+	if err := SaveState(&buf, e); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), facts
@@ -82,29 +72,6 @@ func TestStateBundleByteIdenticalAcrossWorkers(t *testing.T) {
 			for i := range facts {
 				if facts[i] != wantFacts[i] {
 					t.Errorf("seed %d: workers=%d batch %d report %+v, want %+v", seed, w, i, facts[i], wantFacts[i])
-				}
-			}
-		}
-	}
-}
-
-// TestStateBundleByteIdenticalDeltaOnOff extends the acceptance test
-// to the delta network: maintaining with incremental index/cover
-// upkeep must save the byte-identical bundle — and report the same
-// facts — as the per-batch from-scratch recompute, at sequential and
-// parallel worker counts.
-func TestStateBundleByteIdenticalDeltaOnOff(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		for _, w := range []int{0, 2} {
-			onBundle, onFacts := runBundleTraceMode(t, seed, w, false)
-			offBundle, offFacts := runBundleTraceMode(t, seed, w, true)
-			if !bytes.Equal(onBundle, offBundle) {
-				t.Errorf("seed %d workers %d: delta on/off bundles differ (%d vs %d bytes)",
-					seed, w, len(onBundle), len(offBundle))
-			}
-			for i := range onFacts {
-				if onFacts[i] != offFacts[i] {
-					t.Errorf("seed %d workers %d batch %d: delta on %+v, off %+v", seed, w, i, onFacts[i], offFacts[i])
 				}
 			}
 		}

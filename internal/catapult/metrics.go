@@ -84,17 +84,6 @@ type Metrics struct {
 	// maintenance call can be abandoned promptly. Values computed after
 	// cancellation fires are not cached.
 	cancel func() bool
-
-	// coverSource, when set, is consulted before computing a cover set:
-	// it returns the full-database G_scov(p) for patterns some external
-	// structure (the engine's delta network) maintains incrementally,
-	// and ok=false for everything else (candidate patterns, foreign
-	// instances). The source must return exactly what the compute path
-	// below would produce over the full DB — the differential suite
-	// enforces this. When scov is sampled, the sourced cover is
-	// intersected with the sample, which equals the sampled compute
-	// since membership is decided per (pattern, graph) pair.
-	coverSource func(p *graph.Graph) (map[int]struct{}, bool)
 }
 
 // NewMetrics builds a metrics evaluator.
@@ -126,14 +115,6 @@ func (m *Metrics) scovDB() *graph.Database {
 	}
 	m.sample = s
 	return s
-}
-
-// SetCoverSource installs (or, with nil, removes) the incremental
-// cover-set source consulted by CoverSet.
-func (m *Metrics) SetCoverSource(fn func(p *graph.Graph) (map[int]struct{}, bool)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.coverSource = fn
 }
 
 // SetCancel installs (or, with nil, removes) the cancellation hook.
@@ -177,35 +158,11 @@ func (m *Metrics) CoverSet(p *graph.Graph) map[int]struct{} {
 	sig := parallel.GraphKey(p)
 	m.mu.Lock()
 	c, ok := m.coverCache[sig]
-	src := m.coverSource
 	m.mu.Unlock()
 	if ok {
 		return c
 	}
 	db := m.scovDB()
-	if src != nil {
-		if full, hit := src(p); hit {
-			// Copy (and, under sampling, intersect with the sample):
-			// the sourced map is live incremental state, while cached
-			// covers must stay frozen until InvalidateSample.
-			out := make(map[int]struct{}, len(full))
-			if db != m.DB {
-				for _, g := range db.Graphs() {
-					if _, in := full[g.ID]; in {
-						out[g.ID] = struct{}{}
-					}
-				}
-			} else {
-				for id := range full {
-					out[id] = struct{}{}
-				}
-			}
-			m.mu.Lock()
-			m.coverCache[sig] = out
-			m.mu.Unlock()
-			return out
-		}
-	}
 	cancel := m.cancelHook()
 	var out map[int]struct{}
 	if m.Ix != nil {

@@ -172,12 +172,6 @@ type Clustering struct {
 // during fine clustering.
 func (cl *Clustering) SetCancel(fn func() bool) { cl.cancel = fn }
 
-// SetWorkers changes the fan-out width used by fine clustering after
-// construction — e.g. on a clustering restored from a state bundle,
-// where Config came from the bundle header rather than the command
-// line. Splits are identical at every setting.
-func (cl *Clustering) SetWorkers(n int) { cl.cfg.Workers = n }
-
 // Build partitions database d using FCT feature vectors from the mined
 // tree set (the CATAPULT++/MIDAS feature family). The random source
 // drives k-means++ seeding; passing the same seed reproduces the

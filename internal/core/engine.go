@@ -16,7 +16,6 @@ import (
 	"github.com/midas-graph/midas/internal/csg"
 	"github.com/midas-graph/midas/internal/graphlet"
 	"github.com/midas-graph/midas/internal/index"
-	"github.com/midas-graph/midas/internal/index/delta"
 	"github.com/midas-graph/midas/internal/tree"
 )
 
@@ -87,12 +86,6 @@ type Config struct {
 	// NoPruning disables the coverage-based candidate pruning of §5.2
 	// (Equation 2) — an ablation knob; MIDAS proper keeps it on.
 	NoPruning bool
-	// NoDeltaIndex disables the delta network (internal/index/delta)
-	// that maintains cover sets and exclusive-coverage stats
-	// incrementally from each batch's Δ⁺/Δ⁻, falling back to the
-	// from-scratch per-batch recompute. An escape hatch only: the
-	// differential suite proves both paths byte-identical.
-	NoDeltaIndex bool
 	// Distance selects the graphlet-distribution distance used to
 	// classify modifications (§3.4). The default L2 is the paper's
 	// choice; L1 and Hellinger exist to check the paper's claim that
@@ -191,15 +184,6 @@ type Engine struct {
 	counter *graphlet.Counter
 	metrics *catapult.Metrics
 
-	// dx is the delta network over ix: materialised cover sets and
-	// exclusive-coverage owner counts maintained incrementally from
-	// batch deltas (nil when indices are disabled or NoDeltaIndex is
-	// set). Every structural index event — graph add/remove, pattern
-	// register/unregister, feature churn — must be mirrored into it,
-	// which is why pattern registration goes through registerPattern /
-	// unregisterPattern rather than e.ix directly.
-	dx *delta.Network
-
 	patterns      []*graph.Graph
 	nextPatternID int
 
@@ -269,7 +253,6 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 	e.counter = graphlet.NewCounter(db)
 	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
 	e.metrics.Memo = cfg.Workers >= 1
-	e.metrics.SetCoverSource(e.coverSource)
 	e.patterns = append([]*graph.Graph(nil), patterns...)
 	for _, p := range e.patterns {
 		if p.ID >= e.nextPatternID {
@@ -277,7 +260,6 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 		}
 		e.ix.RegisterPattern(p)
 	}
-	e.buildDeltaNetwork()
 	e.BootstrapTime = time.Since(start)
 	return e
 }
@@ -298,7 +280,6 @@ func newEngine(db *graph.Database, cfg Config) *Engine {
 	e.counter = graphlet.NewCounter(db)
 	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
 	e.metrics.Memo = cfg.Workers >= 1
-	e.metrics.SetCoverSource(e.coverSource)
 	sel := catapult.NewSelector(e.metrics, e.cl, e.csgs, e.selectConfig(nil))
 	e.patterns = sel.Select(0)
 	e.nextPatternID = len(e.patterns)
@@ -308,54 +289,8 @@ func newEngine(db *graph.Database, cfg Config) *Engine {
 		}
 	}
 	e.refreshSmallPatterns()
-	e.buildDeltaNetwork()
 	e.BootstrapTime = time.Since(start)
 	return e
-}
-
-// buildDeltaNetwork materialises the delta network over the freshly
-// built indices and registered patterns (bootstrap only; afterwards the
-// network is maintained by deltas).
-func (e *Engine) buildDeltaNetwork() {
-	if e.ix == nil || e.cfg.NoDeltaIndex {
-		return
-	}
-	e.dx = delta.NewNetwork(e.ix, e.db, e.patterns, e.workers())
-}
-
-// coverSource is installed into the metrics evaluator as its cover-set
-// source: registered patterns are answered from the delta network's
-// materialised G_scov sets instead of a from-scratch index scan. It
-// reads e.dx at call time, so it stays correct across restore().
-func (e *Engine) coverSource(p *graph.Graph) (map[int]struct{}, bool) {
-	if e.dx == nil {
-		return nil, false
-	}
-	return e.dx.Cover(p)
-}
-
-// registerPattern adds p to the index and mirrors the registration into
-// the delta network.
-func (e *Engine) registerPattern(p *graph.Graph) {
-	if e.ix == nil {
-		return
-	}
-	e.ix.RegisterPattern(p)
-	if e.dx != nil {
-		e.dx.RegisterPattern(e.ix, e.db, p, e.workers())
-	}
-}
-
-// unregisterPattern removes a pattern column from the index and retracts
-// its delta-network row.
-func (e *Engine) unregisterPattern(id int) {
-	if e.ix == nil {
-		return
-	}
-	e.ix.UnregisterPattern(id)
-	if e.dx != nil {
-		e.dx.UnregisterPattern(id)
-	}
 }
 
 // buildClustering builds the coarse+fine clustering with the configured
@@ -389,35 +324,6 @@ func (e *Engine) selectConfig(pruner catapult.Pruner) catapult.SelectConfig {
 // workers returns the fan-out width for the engine's parallel kernels
 // (0 keeps every fan-out on the inline sequential path).
 func (e *Engine) workers() int { return e.cfg.Workers }
-
-// SetWorkers reconfigures the execution mode of a live engine —
-// typically one restored from a state bundle, whose header records the
-// state rather than the wall-clock knob that produced it. Semantics
-// match constructing with the same Config.Workers: 0 is the sequential
-// reference path, >=1 enables the worker pool and the process-wide
-// kernel memos. Outputs are identical at every setting.
-func (e *Engine) SetWorkers(n int) {
-	e.cfg.Workers = n
-	e.cfg.Cluster.Workers = n
-	e.cl.SetWorkers(n)
-	e.csgs.SetMemo(n >= 1)
-	e.metrics.Memo = n >= 1
-}
-
-// SetNoDeltaIndex toggles the incremental index delta network on a
-// live engine — typically one restored from a state bundle, whose
-// header records the state rather than the knob that produced it.
-// Turning it off drops the network (cover state is then recomputed
-// from scratch each batch); turning it on rebuilds it from the current
-// indices and pattern set. Outputs are byte-identical either way; only
-// maintain wall clock moves.
-func (e *Engine) SetNoDeltaIndex(off bool) {
-	e.cfg.NoDeltaIndex = off
-	e.dx = nil
-	if !off {
-		e.buildDeltaNetwork()
-	}
-}
 
 // DB returns the engine's current database.
 func (e *Engine) DB() *graph.Database { return e.db }

@@ -255,26 +255,13 @@ func (e *Engine) applyStructural(ctx context.Context, u graph.Update, rep *Repor
 	// during swapping see fresh state.
 	tIx := time.Now()
 	if e.ix != nil {
-		// Each Δ⁻/Δ⁺ graph updates its matrix column and then flows
-		// through the delta network, which patches the materialised
-		// cover sets from that column alone; the feature churn from
-		// SyncFeatures reconciles the affected pattern profiles.
 		for _, id := range u.Delete {
 			e.ix.RemoveGraph(id)
-			if e.dx != nil {
-				e.dx.RemoveGraph(id)
-			}
 		}
 		for _, g := range u.Insert {
 			e.ix.AddGraph(g)
-			if e.dx != nil {
-				e.dx.AddGraph(e.ix, g, e.workers())
-			}
 		}
-		churn := e.ix.SyncFeatures(e.set, e.db, e.patterns)
-		if e.dx != nil {
-			e.dx.SyncFeatures(e.ix, e.db, churn, e.workers())
-		}
+		e.ix.SyncFeatures(e.set, e.db, e.patterns)
 	}
 	rep.IndexTime = time.Since(tIx)
 	if err := stage(ctx, "index"); err != nil {
@@ -353,27 +340,10 @@ func exclusiveStats(covers []map[int]struct{}) (exclusive []int, union map[int]s
 }
 
 // coverageStats returns the exclusive counts and union cover of the
-// current pattern set. With the delta network active and scov exact it
-// is served straight from the network's exclusive-coverage node (owner
-// counts); otherwise — sampling in effect, network disabled, or a
-// defensive registration mismatch — it falls back to the pure
-// per-batch computation over the evaluator's cover sets. Both paths
-// produce identical values whenever both are applicable.
+// current pattern set, from the evaluator's cover sets (computed once
+// per batch through the indices and cached until the next update).
 func (e *Engine) coverageStats() (exclusive []int, union map[int]struct{}) {
-	if e.dx != nil && !e.scovSampled() {
-		if excl, un, ok := e.dx.ExclusiveStats(e.patterns); ok {
-			return excl, un
-		}
-	}
 	return exclusiveStats(e.coverSets())
-}
-
-// scovSampled reports whether the metrics evaluator computes scov over
-// a sample rather than the full database (mirrors Metrics.scovDB). The
-// delta network materialises full-database covers, so owner-count
-// shortcuts only apply when scov is exact.
-func (e *Engine) scovSampled() bool {
-	return e.cfg.SampleSize > 0 && e.db.Len() > e.cfg.SampleSize
 }
 
 // coveragePruner builds the Equation 2 early-termination test: an edge

@@ -70,8 +70,10 @@ func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns [
 // installPatterns replaces the canned pattern set with ps, keeping the
 // pattern indices and the ID allocator consistent.
 func (e *Engine) installPatterns(ps []*graph.Graph) {
-	for _, p := range e.patterns {
-		e.unregisterPattern(p.ID)
+	if e.ix != nil {
+		for _, p := range e.patterns {
+			e.ix.UnregisterPattern(p.ID)
+		}
 	}
 	e.patterns = append([]*graph.Graph(nil), ps...)
 	e.nextPatternID = 0
@@ -79,12 +81,11 @@ func (e *Engine) installPatterns(ps []*graph.Graph) {
 		if p.ID >= e.nextPatternID {
 			e.nextPatternID = p.ID + 1
 		}
-		e.registerPattern(p)
+		if e.ix != nil {
+			e.ix.RegisterPattern(p)
+		}
 	}
 	if e.ix != nil {
-		churn := e.ix.SyncFeatures(e.set, e.db, e.patterns)
-		if e.dx != nil {
-			e.dx.SyncFeatures(e.ix, e.db, churn, e.workers())
-		}
+		e.ix.SyncFeatures(e.set, e.db, e.patterns)
 	}
 }

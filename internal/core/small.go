@@ -68,8 +68,8 @@ func (e *Engine) refreshSmallPatterns() {
 	for _, p := range e.patterns {
 		if p.Size() > 2 {
 			kept = append(kept, p)
-		} else {
-			e.unregisterPattern(p.ID)
+		} else if e.ix != nil {
+			e.ix.UnregisterPattern(p.ID)
 		}
 	}
 	e.patterns = kept
@@ -104,7 +104,9 @@ func (e *Engine) refreshSmallPatterns() {
 			p.ID = e.nextPatternID
 			e.nextPatternID++
 			e.patterns = append(e.patterns, p)
-			e.registerPattern(p)
+			if e.ix != nil {
+				e.ix.RegisterPattern(p)
+			}
 			added++
 		}
 	}

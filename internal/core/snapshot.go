@@ -7,7 +7,6 @@ import (
 	"github.com/midas-graph/midas/internal/csg"
 	"github.com/midas-graph/midas/internal/graphlet"
 	"github.com/midas-graph/midas/internal/index"
-	"github.com/midas-graph/midas/internal/index/delta"
 	"github.com/midas-graph/midas/internal/tree"
 )
 
@@ -20,7 +19,6 @@ type snapshot struct {
 	cl            *cluster.Clustering
 	csgs          *csg.Manager
 	ix            *index.Indices
-	dx            *delta.Network
 	counter       *graphlet.Counter
 	patterns      []*graph.Graph
 	nextPatternID int
@@ -52,9 +50,6 @@ func (e *Engine) takeSnapshot() *snapshot {
 	if e.ix != nil {
 		s.ix = e.ix.Clone(s.set)
 	}
-	if e.dx != nil {
-		s.dx = e.dx.Clone()
-	}
 	return s
 }
 
@@ -68,12 +63,10 @@ func (e *Engine) restore(s *snapshot) {
 	e.cl = s.cl
 	e.csgs = s.csgs
 	e.ix = s.ix
-	e.dx = s.dx
 	e.counter = s.counter
 	e.patterns = s.patterns
 	e.nextPatternID = s.nextPatternID
 	e.sigma = s.sigma
 	e.metrics = catapult.NewMetrics(e.db, e.set, e.ix, e.cfg.SampleSize, e.cfg.Seed)
 	e.metrics.Memo = e.cfg.Workers >= 1
-	e.metrics.SetCoverSource(e.coverSource)
 }

@@ -150,7 +150,7 @@ func (e *Engine) trySwap(i int, pc *graph.Graph, kappa float64) bool {
 
 	// sw1: benefit vs loss on set coverage.
 	covers := e.coverSets()
-	_, union := e.coverageStats()
+	_, union := exclusiveStats(covers)
 	unionWithout := unionExcept(covers, i)
 	loss := len(union) - len(unionWithout) // S_L(p,P,D) numerator
 	candCover := e.metrics.CoverSet(pc)
@@ -185,8 +185,10 @@ func (e *Engine) trySwap(i int, pc *graph.Graph, kappa float64) bool {
 	pc.ID = e.nextPatternID
 	e.nextPatternID++
 	e.patterns[i] = pc
-	e.unregisterPattern(old.ID)
-	e.registerPattern(pc)
+	if e.ix != nil {
+		e.ix.UnregisterPattern(old.ID)
+		e.ix.RegisterPattern(pc)
+	}
 	return true
 }
 
@@ -212,8 +214,10 @@ func (e *Engine) randomSwap(cands []*catapult.Candidate) int {
 		pc.ID = e.nextPatternID
 		e.nextPatternID++
 		e.patterns[i] = pc
-		e.unregisterPattern(old.ID)
-		e.registerPattern(pc)
+		if e.ix != nil {
+			e.ix.UnregisterPattern(old.ID)
+			e.ix.RegisterPattern(pc)
+		}
 		swaps++
 	}
 	return swaps

@@ -45,10 +45,6 @@ type Scale struct {
 	// sequential reference path). Every figure is identical at every
 	// setting; only wall clock moves.
 	Workers int
-	// NoDeltaIndex disables the incremental index/cover delta network
-	// and recomputes cover state from scratch each batch. Every figure
-	// is identical either way; only wall clock moves.
-	NoDeltaIndex bool
 }
 
 // Tiny is for unit tests.
@@ -85,15 +81,14 @@ func (s Scale) config() core.Config {
 		// drift under a new-family insertion is milder than real
 		// chemistry's, so the paper's 0.1 scales down to 0.01 (the
 		// major/minor separation is preserved — see EXPERIMENTS.md).
-		Epsilon:      0.01,
-		Kappa:        0.1,
-		Lambda:       0.1,
-		Walks:        s.Walks,
-		SampleSize:   s.SampleSize,
-		Seed:         s.Seed,
-		Workers:      s.Workers,
-		NoDeltaIndex: s.NoDeltaIndex,
-		Cluster:      cluster.Config{MaxSize: s.ClusterMaxSize},
+		Epsilon:    0.01,
+		Kappa:      0.1,
+		Lambda:     0.1,
+		Walks:      s.Walks,
+		SampleSize: s.SampleSize,
+		Seed:       s.Seed,
+		Workers:    s.Workers,
+		Cluster:    cluster.Config{MaxSize: s.ClusterMaxSize},
 	}
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/midas-graph/midas/graph"
@@ -49,7 +50,9 @@ func TestCloneIsolatedFromDeltaMaintenance(t *testing.T) {
 	ix.RegisterPattern(p2)
 	// C.N turns frequent here: SyncFeatures inserts new trie rows and
 	// deletes the IFE row — the churn that motivates this regression.
-	if churn := ix.SyncFeatures(set, after, []*graph.Graph{p2}); churn.Empty() {
+	rowsBefore := append(ix.FeatureKeys(), ix.IFELabels()...)
+	ix.SyncFeatures(set, after, []*graph.Graph{p2})
+	if reflect.DeepEqual(append(ix.FeatureKeys(), ix.IFELabels()...), rowsBefore) {
 		t.Fatal("fixture produced no feature churn; the test lost its teeth")
 	}
 

@@ -12,8 +12,8 @@ import (
 // terminal keys and size counters, and the four matrices as sorted
 // (row, col, value) triplets. Two Indices with the same logical content
 // produce identical bytes regardless of the operation history that
-// built them, so the differential oracle can compare a delta-maintained
-// index against a from-scratch Build with bytes.Equal.
+// built them, so the index oracle can compare an index maintained in
+// place against a from-scratch Build with bytes.Equal.
 func (ix *Indices) Fingerprint() []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "features %d\n", len(ix.features))

@@ -181,14 +181,6 @@ func (ix *Indices) PatternProfile(p *graph.Graph) (fct map[string]int, ife map[s
 // feature, in which case nothing can be pruned).
 func (ix *Indices) CandidateGraphs(p *graph.Graph, universe []int) []int {
 	fct, ife := ix.PatternProfile(p)
-	return ix.CandidatesOf(fct, ife, universe)
-}
-
-// CandidatesOf is CandidateGraphs for a feature profile that is already
-// materialised — e.g. a registered pattern's TP/EP column, which the
-// delta network reads back instead of re-counting embeddings. The
-// dominance semantics are identical to CandidateGraphs.
-func (ix *Indices) CandidatesOf(fct, ife map[string]int, universe []int) []int {
 	if len(fct) == 0 && len(ife) == 0 {
 		return append([]int(nil), universe...)
 	}
@@ -233,31 +225,10 @@ func (ix *Indices) CandidatesOf(fct, ife map[string]int, universe []int) []int {
 	return out
 }
 
-// ColumnDominates reports whether data-graph column id dominates the
-// given feature profile — the single-column candidacy test the delta
-// network applies to an inserted graph. It agrees with CandidatesOf:
-// id is a candidate of (fct, ife) iff ColumnDominates(fct, ife, id),
-// except for the empty profile, where CandidatesOf falls back to the
-// universe (ColumnDominates returns true there too).
-func (ix *Indices) ColumnDominates(fct, ife map[string]int, id int) bool {
-	for key, need := range fct {
-		if ix.TG.Get(key, id) < need {
-			return false
-		}
-	}
-	for label := range ife {
-		if ix.EG.Get(label, id) < 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains is the exact verification step applied to every candidate
 // of CoverSet: subgraph isomorphism under the index verification
-// budget. Exposed so incremental cover-set maintenance (the delta
-// network) applies byte-for-byte the same verdict function the
-// from-scratch path does.
+// budget. Exposed so oracles can check CoverSet against the same
+// verdict over every graph, with no index filtering.
 func Contains(p, g *graph.Graph) bool {
 	return iso.HasSubgraph(p, g, iso.Options{MaxSteps: countBudget})
 }
@@ -329,35 +300,10 @@ func (ix *Indices) RemoveGraph(id int) {
 	ix.EG.DeleteCol(id)
 }
 
-// Churn summarises the row turnover of one SyncFeatures call: which
-// FCT-Index feature rows and IFE-Index edge rows were added or removed.
-// The delta network consumes it to reconcile materialised per-pattern
-// state against exactly the rows that changed; all four lists are
-// sorted so consumers iterate deterministically.
-type Churn struct {
-	AddedFeatures   []string
-	RemovedFeatures []string
-	AddedIFE        []string
-	RemovedIFE      []string
-}
-
-// Empty reports whether the sync changed no rows.
-func (c Churn) Empty() bool {
-	return len(c.AddedFeatures) == 0 && len(c.RemovedFeatures) == 0 &&
-		len(c.AddedIFE) == 0 && len(c.RemovedIFE) == 0
-}
-
-// Size returns the total number of rows added or removed.
-func (c Churn) Size() int {
-	return len(c.AddedFeatures) + len(c.RemovedFeatures) + len(c.AddedIFE) + len(c.RemovedIFE)
-}
-
 // SyncFeatures reconciles rows after FCT maintenance (maintenance steps
 // 1–2): features that stopped being frequent/closed lose their rows and
 // trie entries; new features gain rows computed over db and patterns.
-// It returns the churn summary of the reconcile.
-func (ix *Indices) SyncFeatures(set *tree.Set, db *graph.Database, patterns []*graph.Graph) Churn {
-	var churn Churn
+func (ix *Indices) SyncFeatures(set *tree.Set, db *graph.Database, patterns []*graph.Graph) {
 	want := make(map[string]*tree.Tree)
 	for _, f := range fctFeatures(set) {
 		want[f.Key] = f
@@ -368,13 +314,11 @@ func (ix *Indices) SyncFeatures(set *tree.Set, db *graph.Database, patterns []*g
 			ix.TG.DeleteRow(key)
 			ix.TP.DeleteRow(key)
 			delete(ix.features, key)
-			churn.RemovedFeatures = append(churn.RemovedFeatures, key)
 		}
 	}
 	for key, f := range want {
 		if _, have := ix.features[key]; !have {
 			ix.addFeature(f, db, patterns)
-			churn.AddedFeatures = append(churn.AddedFeatures, key)
 		} else {
 			// Refresh the posting-derived TG row: supports may have
 			// shifted under the batch update.
@@ -391,20 +335,13 @@ func (ix *Indices) SyncFeatures(set *tree.Set, db *graph.Database, patterns []*g
 			ix.EG.DeleteRow(label)
 			ix.EP.DeleteRow(label)
 			delete(ix.ife, label)
-			churn.RemovedIFE = append(churn.RemovedIFE, label)
 		}
 	}
 	for label, f := range wantIFE {
 		if _, have := ix.ife[label]; !have {
 			ix.addIFE(f, patterns)
-			churn.AddedIFE = append(churn.AddedIFE, label)
 		} else {
 			ix.ife[label] = f
 		}
 	}
-	sort.Strings(churn.AddedFeatures)
-	sort.Strings(churn.RemovedFeatures)
-	sort.Strings(churn.AddedIFE)
-	sort.Strings(churn.RemovedIFE)
-	return churn
 }

@@ -14,7 +14,6 @@ func All() []*Analyzer {
 		ErrWrap,
 		FsyncDiscipline,
 		GoroLeak,
-		IndexDelta,
 		LockOrder,
 		LockScope,
 		MapDeterminism,

@@ -77,16 +77,17 @@ func DecodeUpdate(b []byte) (graph.Update, []*graph.Graph, error) {
 }
 
 // Fingerprint is the canonical state fingerprint: FNV-64a over the
-// engine's serialised state (database + patterns + options, no
-// metadata). The primary stamps it on every shipped record after
-// applying the batch; the follower recomputes it after re-applying and
-// any mismatch is divergence — the replica quarantines its state and
-// re-bootstraps from the primary's bundle. SaveState is deterministic
-// (ordered sections, canonical JSON header), so equal engine state
-// means equal fingerprint on both sides.
-func Fingerprint(eng *midas.Engine, opts midas.Options) (uint64, error) {
+// engine's serialised state (database + patterns + the engine's own
+// options with Workers recorded as 0, no metadata). The primary stamps
+// it on every shipped record after applying the batch; the follower
+// recomputes it after re-applying and any mismatch is divergence — the
+// replica quarantines its state and re-bootstraps from the primary's
+// bundle. SaveState is deterministic (ordered sections, canonical JSON
+// header), so equal engine state means equal fingerprint on both
+// sides, whatever worker count each runs.
+func Fingerprint(eng *midas.Engine) (uint64, error) {
 	h := fnv.New64a()
-	if err := midas.SaveState(h, eng, opts); err != nil {
+	if err := midas.SaveState(h, eng); err != nil {
 		return 0, fmt.Errorf("replica: fingerprinting state: %w", err)
 	}
 	return h.Sum64(), nil

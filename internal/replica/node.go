@@ -76,8 +76,11 @@ type Config struct {
 	// Dir holds the node's durable state: state.bundle (+ .prev/.tmp
 	// generations) and replication.log.
 	Dir string
-	// Options are the engine options; they seed every deterministic RNG
-	// and are embedded in fingerprints.
+	// Options are the node's engine options. Engines loaded from a
+	// bundle (local, upstream or re-bootstrap) take every option but
+	// Workers from its header and are rebuilt at Options.Workers.
+	// Bundles and fingerprints record Workers as 0, so the nodes of one
+	// pair may run different worker counts.
 	Options midas.Options
 	// Bootstrap builds the initial engine when a primary cold-starts
 	// with no bundle. Followers bootstrap from the upstream bundle
@@ -346,7 +349,7 @@ func (n *Node) bootstrap(ctx context.Context) (*midas.Engine, *store.RepLog, uin
 	data, _, lerr := store.LoadBundle(n.fsys, n.bundlePath, midas.VerifyState)
 	switch {
 	case lerr == nil:
-		eng, meta, err := midas.LoadStateMeta(byteReader(data))
+		eng, meta, err := midas.LoadStateMeta(byteReader(data), n.cfg.Options.Workers)
 		if err != nil {
 			log.Close()
 			return nil, nil, 0, 0, fmt.Errorf("replica: loading bundle: %w", err)
@@ -417,7 +420,7 @@ func (n *Node) installUpstreamBundle(ctx context.Context, logp **store.RepLog) (
 			return nil, 0, 0, fmt.Errorf("replica: fetching upstream bundle: %w", err)
 		}
 	}
-	eng, meta, err := midas.LoadStateMeta(byteReader(br.Data))
+	eng, meta, err := midas.LoadStateMeta(byteReader(br.Data), n.cfg.Options.Workers)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("replica: upstream bundle: %w", err)
 	}
@@ -485,7 +488,7 @@ func (n *Node) replaySuffix(eng *midas.Engine, log *store.RepLog, lsn, epoch uin
 		if _, err := eng.ApplyReplicated(context.Background(), u, patterns); err != nil {
 			return 0, 0, fmt.Errorf("replica: replaying LSN %d: %w", rec.LSN, err)
 		}
-		fpr, err := Fingerprint(eng, n.cfg.Options)
+		fpr, err := Fingerprint(eng)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -542,7 +545,7 @@ func (n *Node) buildPipeline(eng *midas.Engine, log *store.RepLog) *snapshot.Pip
 // the bundle at the new position. Idempotent across After-retries —
 // the log append dedups the tail batch, the bundle save is atomic.
 func (n *Node) commitPrimary(eng *midas.Engine, log *store.RepLog, b snapshot.Batch) error {
-	fpr, err := Fingerprint(eng, n.cfg.Options)
+	fpr, err := Fingerprint(eng)
 	if err != nil {
 		return err
 	}
@@ -570,7 +573,7 @@ func (n *Node) commitPrimary(eng *midas.Engine, log *store.RepLog, b snapshot.Ba
 // roll-forward, prev rollback).
 func (n *Node) saveBundle(eng *midas.Engine, lsn, epoch uint64) error {
 	return store.SaveBundle(n.fsys, n.bundlePath, func(w io.Writer) error {
-		return midas.SaveStateMeta(w, eng, n.cfg.Options, positionMeta(lsn, epoch))
+		return midas.SaveStateMeta(w, eng, positionMeta(lsn, epoch))
 	})
 }
 

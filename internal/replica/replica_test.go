@@ -227,8 +227,8 @@ func TestFollowerConvergesByPull(t *testing.T) {
 	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatalf("bundles differ after convergence (%d vs %d bytes)", len(pb), len(fb))
 	}
-	pf, _ := Fingerprint(p.eng, testOptions())
-	ff, _ := Fingerprint(f.eng, testOptions())
+	pf, _ := Fingerprint(p.eng)
+	ff, _ := Fingerprint(f.eng)
 	if pf != ff {
 		t.Fatalf("fingerprints differ: %016x vs %016x", pf, ff)
 	}
@@ -243,6 +243,41 @@ func TestFollowerConvergesByPull(t *testing.T) {
 	// Readers see a published snapshot generation on the follower.
 	if f.Handle().Load() == nil || f.Handle().Generation() == 0 {
 		t.Fatal("follower never published a snapshot")
+	}
+}
+
+// TestFollowerWorkersMismatch pins that replicated state does not
+// depend on the Workers knob: a follower running a different worker
+// count from its primary installs every shipped record without
+// ErrDiverged and ends on a byte-identical bundle. Bundles and
+// fingerprints record Workers as 0, so differently sized machines can
+// pair up.
+func TestFollowerWorkersMismatch(t *testing.T) {
+	psim, fsim := vfs.NewSim(), vfs.NewSim()
+	popts, fopts := testOptions(), testOptions()
+	popts.Workers, fopts.Workers = 1, 2
+	p := startNode(t, Config{FS: psim, Dir: "p", Options: popts, Bootstrap: func() (*midas.Engine, error) {
+		return midas.New(dataset.EMolLike().GenerateDB(20, 3), popts), nil
+	}})
+	// Pull parked: the records are installed below, synchronously.
+	f := startNode(t, Config{FS: fsim, Dir: "f", Options: fopts,
+		Upstream: nodeTransport{peer: p}, PollInterval: time.Hour})
+
+	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(3, 0, 6)})
+	submitWrite(t, p, "w2", graph.Update{Delete: []int{1, 3}})
+	recs, err := p.ReadRecords(f.LastLSN(), 0)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("primary log: %d records, %v", len(recs), err)
+	}
+	if _, err := f.applyRecords(recs); err != nil {
+		t.Fatalf("follower at Workers=%d installing a Workers=%d primary's records: %v",
+			fopts.Workers, popts.Workers, err)
+	}
+	if f.LastLSN() != 2 {
+		t.Fatalf("follower at LSN %d, want 2", f.LastLSN())
+	}
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+		t.Fatalf("bundles differ across worker counts (%d vs %d bytes)", len(pb), len(fb))
 	}
 }
 
@@ -454,7 +489,7 @@ func TestUpdatePayloadRoundTrip(t *testing.T) {
 func TestBundlePositionParses(t *testing.T) {
 	eng, _ := testBootstrap()
 	var buf bytes.Buffer
-	if err := midas.SaveStateMeta(&buf, eng, testOptions(), positionMeta(17, 3)); err != nil {
+	if err := midas.SaveStateMeta(&buf, eng, positionMeta(17, 3)); err != nil {
 		t.Fatal(err)
 	}
 	lsn, epoch := bundlePosition(buf.Bytes())

@@ -262,7 +262,7 @@ func (n *Node) applyRecords(recs []store.RepRecord) (int, error) {
 		// serialises all producers on a follower) and the ticket receive
 		// orders this read after the apply, so fingerprinting here is
 		// race-free.
-		fpr, err := Fingerprint(eng, n.cfg.Options)
+		fpr, err := Fingerprint(eng)
 		if err != nil {
 			return installed, err
 		}
@@ -324,7 +324,7 @@ func (n *Node) rebootstrap() error {
 	if err != nil {
 		return fmt.Errorf("replica: fetching bundle for re-bootstrap: %w", err)
 	}
-	eng, meta, err := midas.LoadStateMeta(byteReader(br.Data))
+	eng, meta, err := midas.LoadStateMeta(byteReader(br.Data), n.cfg.Options.Workers)
 	if err != nil {
 		return fmt.Errorf("replica: re-bootstrap bundle: %w", err)
 	}

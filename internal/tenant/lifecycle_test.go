@@ -150,7 +150,7 @@ func TestTenantLifecycleAddDrainReadd(t *testing.T) {
 	if rep.Degraded() {
 		t.Fatalf("drained bundle needed salvage: %+v", rep)
 	}
-	eng2, _, err := midas.LoadStateMeta(bytes.NewReader(data))
+	eng2, _, err := midas.LoadStateMeta(bytes.NewReader(data), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

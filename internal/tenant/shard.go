@@ -249,10 +249,8 @@ func (sh *Shard) bootstrapEngine(o *Options) (map[string]string, error) {
 	var meta map[string]string
 	if err == nil {
 		var eng *midas.Engine
-		eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data))
+		eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers)
 		if err == nil {
-			eng.SetWorkers(sh.opts.Workers)
-			eng.SetNoDeltaIndex(sh.opts.NoDeltaIndex)
 			sh.engine = eng
 			return meta, nil
 		}
@@ -296,7 +294,7 @@ func (sh *Shard) saveBundle() error {
 	}
 	sh.metaMu.Unlock()
 	return store.SaveBundle(vfs.OS, sh.savePath, func(w io.Writer) error {
-		return midas.SaveStateMeta(w, sh.engine, sh.opts, m)
+		return midas.SaveStateMeta(w, sh.engine, m)
 	})
 }
 

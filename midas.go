@@ -93,19 +93,13 @@ type Options struct {
 	// over n pooled workers and enables process-wide kernel
 	// memoization. Maintain and Query produce byte-identical state and
 	// reports at every setting — the differential test suite enforces
-	// it — so Workers is purely a wall-clock knob.
+	// it — so Workers is purely a wall-clock knob. State bundles record
+	// it as 0; LoadState takes the width to restore at.
 	Workers int
 	// Seed makes every stochastic component reproducible.
 	Seed int64
 	// Strategy selects the swap strategy (default multi-scan).
 	Strategy Strategy
-	// NoDeltaIndex disables the incremental index-maintenance network
-	// (internal/index/delta) and recomputes cover sets from scratch
-	// each batch — an escape hatch; results are byte-identical either
-	// way (the differential suite enforces it), only maintain time
-	// differs. Like Workers it describes how state is computed, not
-	// what it is, so state bundles are saved with it normalised off.
-	NoDeltaIndex bool `json:",omitempty"`
 
 	// AlphaDiv, AlphaCog and AlphaLcov optionally tighten the swap
 	// guards (§6.2 "additional requirements by users"): a swap must
@@ -117,17 +111,16 @@ type Options struct {
 
 func (o Options) toCore() core.Config {
 	cfg := core.Config{
-		Budget:       catapult.Budget{MinSize: o.Budget.MinSize, MaxSize: o.Budget.MaxSize, Count: o.Budget.Count},
-		SupMin:       o.SupMin,
-		Epsilon:      o.Epsilon,
-		Kappa:        o.Kappa,
-		Lambda:       o.Lambda,
-		Walks:        o.Walks,
-		SampleSize:   o.SampleSize,
-		Workers:      o.Workers,
-		Seed:         o.Seed,
-		NoDeltaIndex: o.NoDeltaIndex,
-		Cluster:      cluster.Config{K: o.ClusterK, MaxSize: o.ClusterMaxSize},
+		Budget:     catapult.Budget{MinSize: o.Budget.MinSize, MaxSize: o.Budget.MaxSize, Count: o.Budget.Count},
+		SupMin:     o.SupMin,
+		Epsilon:    o.Epsilon,
+		Kappa:      o.Kappa,
+		Lambda:     o.Lambda,
+		Walks:      o.Walks,
+		SampleSize: o.SampleSize,
+		Workers:    o.Workers,
+		Seed:       o.Seed,
+		Cluster:    cluster.Config{K: o.ClusterK, MaxSize: o.ClusterMaxSize},
 	}
 	cfg.AlphaDiv = o.AlphaDiv
 	cfg.AlphaCog = o.AlphaCog
@@ -238,13 +231,16 @@ func fromReport(r core.Report) MaintenanceReport {
 // Engine owns a database and its maintained canned pattern set.
 type Engine struct {
 	inner *core.Engine
+	// opts are the options the engine was built (New) or restored
+	// (LoadState) with; SaveState records them in the bundle header.
+	opts Options
 }
 
 // New bootstraps the full MIDAS stack over db (FCT mining, clustering,
 // summaries, indices) and selects the initial pattern set. The engine
 // takes ownership of db: later Maintain calls mutate it.
 func New(db *graph.Database, opts Options) *Engine {
-	return &Engine{inner: core.NewEngine(db, opts.toCore())}
+	return &Engine{inner: core.NewEngine(db, opts.toCore()), opts: opts}
 }
 
 // Patterns returns the current canned pattern set. Pattern graphs are
@@ -259,19 +255,6 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry) { e.inner.SetTelemetry(re
 
 // DB returns the engine's current database.
 func (e *Engine) DB() *graph.Database { return e.inner.DB() }
-
-// SetWorkers reconfigures the maintenance kernels' fan-out width on a
-// live engine (see Options.Workers). State bundles record the pattern
-// state, not the knob, so callers restoring via LoadState apply the
-// desired width with this; outputs are identical at every setting.
-func (e *Engine) SetWorkers(n int) { e.inner.SetWorkers(n) }
-
-// SetNoDeltaIndex toggles the incremental index delta network on a
-// live engine (see Options.NoDeltaIndex). State bundles record the
-// pattern state, not the knob, so callers restoring via LoadState
-// apply the escape hatch with this; outputs are byte-identical either
-// way.
-func (e *Engine) SetNoDeltaIndex(off bool) { e.inner.SetNoDeltaIndex(off) }
 
 // Maintain applies the batch update ΔD (deletions then insertions) and
 // maintains the pattern set per Algorithm 1.

@@ -54,20 +54,21 @@ type stateHeader struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
-// SaveState serialises the engine's database, options and current
-// pattern set to w.
-func SaveState(w io.Writer, e *Engine, opts Options) error {
-	return SaveStateMeta(w, e, opts, nil)
+// SaveState serialises the engine's database, current pattern set and
+// the options it was built or restored with to w.
+func SaveState(w io.Writer, e *Engine) error {
+	return SaveStateMeta(w, e, nil)
 }
 
 // SaveStateMeta is SaveState with an attached metadata map, persisted
 // in the bundle header and returned by LoadStateMeta.
-func SaveStateMeta(w io.Writer, e *Engine, opts Options, meta map[string]string) error {
-	// The header records the state, not the knobs that merely choose how
-	// it is computed: NoDeltaIndex is normalised off so bundles stay
-	// byte-identical with the delta network on and off (the differential
-	// suite's contract). Restorers re-apply the knob via SetNoDeltaIndex.
-	opts.NoDeltaIndex = false
+func SaveStateMeta(w io.Writer, e *Engine, meta map[string]string) error {
+	// The header records the state, not the knob that merely chooses how
+	// it is computed: Workers is normalised out, so bundles — and the
+	// replica fingerprints hashed from them — are byte-identical at
+	// every worker count. Restorers pass their own width to LoadState.
+	opts := e.opts
+	opts.Workers = 0
 	var payload bytes.Buffer
 	if _, err := fmt.Fprintln(&payload, "== database =="); err != nil {
 		return err
@@ -105,9 +106,12 @@ func SaveStateMeta(w io.Writer, e *Engine, opts Options, meta map[string]string)
 
 // LoadState reads a bundle written by SaveState and rebuilds the
 // engine: the maintained structures are re-derived from the database,
-// the pattern set is restored verbatim (selection is skipped).
-func LoadState(r io.Reader) (*Engine, error) {
-	e, _, err := LoadStateMeta(r)
+// the pattern set is restored verbatim (selection is skipped). The
+// engine takes its options from the bundle header, except Workers,
+// which bundles do not record: it is rebuilt and runs at the given
+// width (see Options.Workers).
+func LoadState(r io.Reader, workers int) (*Engine, error) {
+	e, _, err := LoadStateMeta(r, workers)
 	return e, err
 }
 
@@ -185,7 +189,7 @@ func VerifyState(b []byte) error {
 // bundle header (nil for v1 bundles or when none was saved). The
 // payload checksum is verified for v2 bundles before anything is
 // decoded; corruption errors wrap store.ErrCorrupt.
-func LoadStateMeta(r io.Reader) (*Engine, map[string]string, error) {
+func LoadStateMeta(r io.Reader, workers int) (*Engine, map[string]string, error) {
 	hdr, dbText, patText, err := parseStateEnvelope(r)
 	if err != nil {
 		return nil, nil, err
@@ -213,6 +217,8 @@ func LoadStateMeta(r io.Reader) (*Engine, map[string]string, error) {
 		return nil, nil, fmt.Errorf("midas: state bundle corrupt: %d patterns, header says %d: %w",
 			len(patterns), hdr.Patterns, store.ErrCorrupt)
 	}
-	inner := core.NewEngineWithPatterns(db, hdr.Options.toCore(), patterns)
-	return &Engine{inner: inner}, hdr.Meta, nil
+	opts := hdr.Options
+	opts.Workers = workers
+	inner := core.NewEngineWithPatterns(db, opts.toCore(), patterns)
+	return &Engine{inner: inner, opts: opts}, hdr.Meta, nil
 }

@@ -8,41 +8,41 @@ import (
 	"github.com/midas-graph/midas/internal/dataset"
 )
 
-func corruptionFixture(t *testing.T) (*Engine, Options, string) {
+func corruptionFixture(t *testing.T) (*Engine, string) {
 	t.Helper()
 	db := dataset.EMolLike().GenerateDB(20, 5)
 	opts := smallOptions()
 	e := New(db, opts)
 	var buf strings.Builder
-	if err := SaveState(&buf, e, opts); err != nil {
+	if err := SaveState(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	return e, opts, buf.String()
+	return e, buf.String()
 }
 
 func TestLoadStateRejectsTruncation(t *testing.T) {
-	_, _, bundle := corruptionFixture(t)
+	_, bundle := corruptionFixture(t)
 	// Chop bytes off the payload tail: the checksum must catch it even
 	// when the cut lands between section markers.
 	for _, cut := range []int{1, 10, len(bundle) / 3} {
 		if cut >= len(bundle) {
 			continue
 		}
-		if _, err := LoadState(strings.NewReader(bundle[:len(bundle)-cut])); err == nil {
+		if _, err := LoadState(strings.NewReader(bundle[:len(bundle)-cut]), 0); err == nil {
 			t.Fatalf("truncated bundle (cut %d bytes) loaded without error", cut)
 		}
 	}
 }
 
 func TestLoadStateRejectsBitFlip(t *testing.T) {
-	_, _, bundle := corruptionFixture(t)
+	_, bundle := corruptionFixture(t)
 	// Flip one payload byte well past the header.
 	headerEnd := strings.Index(bundle, "\n")
 	headerEnd += strings.Index(bundle[headerEnd+1:], "\n") + 2
 	pos := headerEnd + (len(bundle)-headerEnd)/2
 	mutated := []byte(bundle)
 	mutated[pos] ^= 0x40
-	_, err := LoadState(strings.NewReader(string(mutated)))
+	_, err := LoadState(strings.NewReader(string(mutated)), 0)
 	if err == nil {
 		t.Fatal("bit-flipped bundle loaded without error")
 	}
@@ -52,24 +52,24 @@ func TestLoadStateRejectsBitFlip(t *testing.T) {
 }
 
 func TestLoadStateRejectsMissingChecksum(t *testing.T) {
-	_, _, bundle := corruptionFixture(t)
+	_, bundle := corruptionFixture(t)
 	lines := strings.SplitN(bundle, "\n", 3)
 	// Strip the crc32 field from the v2 header: must be rejected.
 	hdr := strings.Replace(lines[1], `"crc32":"`, `"nocrc":"`, 1)
 	doctored := lines[0] + "\n" + hdr + "\n" + lines[2]
-	if _, err := LoadState(strings.NewReader(doctored)); err == nil ||
+	if _, err := LoadState(strings.NewReader(doctored), 0); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("v2 bundle without checksum: err = %v, want missing-checksum error", err)
 	}
 }
 
 func TestLoadStateAcceptsV1(t *testing.T) {
-	_, _, bundle := corruptionFixture(t)
+	_, bundle := corruptionFixture(t)
 	// A v1 bundle has no checksum and the old magic; it must still load.
 	lines := strings.SplitN(bundle, "\n", 3)
 	hdr := strings.Replace(lines[1], `"crc32":"`, `"ignored":"`, 1)
 	v1 := stateMagicV1 + "\n" + hdr + "\n" + lines[2]
-	e, err := LoadState(strings.NewReader(v1))
+	e, err := LoadState(strings.NewReader(v1), 0)
 	if err != nil {
 		t.Fatalf("v1 bundle rejected: %v", err)
 	}
@@ -79,13 +79,13 @@ func TestLoadStateAcceptsV1(t *testing.T) {
 }
 
 func TestSaveStateMetaRoundTrip(t *testing.T) {
-	e, opts, _ := corruptionFixture(t)
+	e, _ := corruptionFixture(t)
 	meta := map[string]string{"lastBatch": "b1.graphs", "lastBatchSum": "00c0ffee"}
 	var buf strings.Builder
-	if err := SaveStateMeta(&buf, e, opts, meta); err != nil {
+	if err := SaveStateMeta(&buf, e, meta); err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := LoadStateMeta(strings.NewReader(buf.String()))
+	_, got, err := LoadStateMeta(strings.NewReader(buf.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,9 @@ func TestSaveStateMetaRoundTrip(t *testing.T) {
 // engine that wrote it, and the bundle it saves afterwards must restore
 // to the same state again.
 func TestLoadMaintainSaveEquivalence(t *testing.T) {
-	direct, opts, bundle := corruptionFixture(t)
+	direct, bundle := corruptionFixture(t)
 
-	loaded, err := LoadState(strings.NewReader(bundle))
+	loaded, err := LoadState(strings.NewReader(bundle), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +138,10 @@ func TestLoadMaintainSaveEquivalence(t *testing.T) {
 
 	// Second round trip: save the maintained loaded engine and restore.
 	var buf strings.Builder
-	if err := SaveState(&buf, loaded, opts); err != nil {
+	if err := SaveState(&buf, loaded); err != nil {
 		t.Fatal(err)
 	}
-	again, err := LoadState(strings.NewReader(buf.String()))
+	again, err := LoadState(strings.NewReader(buf.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	wantQuality := e.Quality()
 
 	var buf strings.Builder
-	if err := SaveState(&buf, e, opts); err != nil {
+	if err := SaveState(&buf, e); err != nil {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadState(strings.NewReader(buf.String()))
+	loaded, err := LoadState(strings.NewReader(buf.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestLoadedEngineMaintains(t *testing.T) {
 	opts.Epsilon = 0.02
 	e := New(db, opts)
 	var buf strings.Builder
-	if err := SaveState(&buf, e, opts); err != nil {
+	if err := SaveState(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadState(strings.NewReader(buf.String()))
+	loaded, err := LoadState(strings.NewReader(buf.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +76,35 @@ func TestLoadedEngineMaintains(t *testing.T) {
 	}
 }
 
+// TestRestoreThenSaveKeepsOptions pins the bundle header to the
+// engine: a restored engine saves the options it was restored with, so
+// New(γ=5) → save → LoadState → save is byte-identical. Saving with
+// the caller's options instead would record whatever flags the
+// restoring process happened to run with.
+func TestRestoreThenSaveKeepsOptions(t *testing.T) {
+	opts := smallOptions()
+	opts.Budget = Budget{MinSize: 2, MaxSize: 5, Count: 5}
+	opts.Workers = 2
+	e := New(dataset.EMolLike().GenerateDB(15, 9), opts)
+	var first strings.Builder
+	if err := SaveState(&first, e); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadState(strings.NewReader(first.String()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second strings.Builder
+	if err := SaveState(&second, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		a, _, _ := strings.Cut(first.String(), "== database ==")
+		b, _, _ := strings.Cut(second.String(), "== database ==")
+		t.Fatalf("restore-then-save rewrote the bundle\nfirst:  %s\nsecond: %s", a, b)
+	}
+}
+
 func TestLoadStateErrors(t *testing.T) {
 	cases := []struct{ name, text string }{
 		{"empty", ""},
@@ -87,7 +116,7 @@ func TestLoadStateErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := LoadState(strings.NewReader(c.text)); err == nil {
+			if _, err := LoadState(strings.NewReader(c.text), 0); err == nil {
 				t.Fatalf("LoadState(%q) succeeded, want error", c.name)
 			}
 		})
@@ -99,10 +128,10 @@ func TestSearcherAfterLoad(t *testing.T) {
 	opts := smallOptions()
 	e := New(db, opts)
 	var buf strings.Builder
-	if err := SaveState(&buf, e, opts); err != nil {
+	if err := SaveState(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadState(strings.NewReader(buf.String()))
+	loaded, err := LoadState(strings.NewReader(buf.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +151,7 @@ func TestVerifyStateDetectsDamage(t *testing.T) {
 	opts := smallOptions()
 	e := New(db, opts)
 	var buf strings.Builder
-	if err := SaveState(&buf, e, opts); err != nil {
+	if err := SaveState(&buf, e); err != nil {
 		t.Fatal(err)
 	}
 	good := []byte(buf.String())
@@ -177,7 +206,7 @@ func TestVerifyStateDetectsDamage(t *testing.T) {
 	if !rep.RolledBack {
 		t.Fatal("salvage did not report a rollback")
 	}
-	if eng, loadErr := LoadState(strings.NewReader(string(data))); loadErr != nil {
+	if eng, loadErr := LoadState(strings.NewReader(string(data)), 0); loadErr != nil {
 		t.Fatalf("rolled-back bundle unusable: %v", loadErr)
 	} else if eng.DB().Len() != 12 {
 		t.Fatalf("rolled-back db len = %d, want 12", eng.DB().Len())
