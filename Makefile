@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare bench-sustained sustained-smoke bench-tenants tenants-smoke replica-smoke clean
+.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare bench-sustained sustained-smoke bench-tenants tenants-smoke replica-smoke serve-smoke clean
 
 all: build test
 
@@ -98,6 +98,13 @@ tenants-smoke:
 # headers, promotion fences the old primary — under -race.
 replica-smoke:
 	$(GO) test -race -run 'TestSmokeFailoverHTTP' -v ./internal/replica/
+
+# The CI gate for single-tenant serving as a process: boot midas-serve
+# with -db -save -watch, apply one HTTP and one spool batch, SIGTERM it
+# (exit 0), restart from -state and require a byte-identical panel —
+# under -race.
+serve-smoke:
+	$(GO) test -race -run 'TestServeSmoke' -v ./cmd/midas-serve/
 
 clean:
 	$(GO) clean ./...

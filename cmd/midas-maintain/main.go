@@ -154,20 +154,9 @@ func saveIfAsked(eng *midas.Engine, path string) {
 const timeUnit = 1000 * 1000 // microsecond rounding
 
 func readDB(path string) *graph.Database {
-	f, err := os.Open(path)
+	db, err := graph.ReadDatabaseFile(path)
 	if err != nil {
 		fatal(err.Error())
-	}
-	defer f.Close()
-	graphs, err := graph.Read(f)
-	if err != nil {
-		fatal(err.Error())
-	}
-	db := graph.NewDatabase()
-	for _, g := range graphs {
-		if err := db.Add(g); err != nil {
-			fatal(err.Error())
-		}
 	}
 	return db
 }

@@ -54,52 +54,37 @@
 // (503 + Retry-After + X-Midas-Primary). POST /replica/promote and
 // /replica/demote are the epoch-fenced failover verbs.
 //
+// Single-tenant mode and every tenant run the same stack, a
+// tenant.Shard, opened from -state/-save/-journal/-watch/-db here and
+// from <tenants-dir>/<tenant>/... in tenant mode.
+//
 // The process shuts down gracefully on SIGINT/SIGTERM: readiness flips
 // to draining, in-flight requests finish, the spool watcher stops, the
 // maintenance queue drains, the state bundle is saved (when -save is
 // set), and the process exits 0.
 // State bundles are written generationally (tmp + fsync + rename, with
-// the previous generation kept as *.prev) and checksummed; with -save,
-// a write-ahead journal gives maintenance batches (spool and HTTP)
-// exactly-once application across crashes. On startup the bundle and journal are
-// salvaged: an interrupted save rolls forward or back to the nearest
-// valid generation, damaged bytes are quarantined as *.corrupt, and if
-// no generation survives the panel starts degraded (empty database)
-// rather than crash-looping.
+// the previous generation kept as *.prev) and checksummed. With -save,
+// every batch's bundle is saved before its generation publishes, so an
+// acknowledged POST /maintain is durable; with -save and -watch, a
+// write-ahead journal gives spool batches exactly-once application
+// across crashes. On startup the bundle and journal are salvaged: an
+// interrupted save rolls forward or back to the nearest valid
+// generation, damaged bytes are quarantined as *.corrupt, and if no
+// generation survives the panel starts degraded rather than
+// crash-looping.
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"flag"
-	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"strconv"
-	"sync"
-	"syscall"
 	"time"
 
 	"github.com/midas-graph/midas"
-	"github.com/midas-graph/midas/graph"
-	"github.com/midas-graph/midas/internal/catapult"
-	"github.com/midas-graph/midas/internal/ged"
-	"github.com/midas-graph/midas/internal/iso"
-	"github.com/midas-graph/midas/internal/panel"
-	"github.com/midas-graph/midas/internal/parallel"
-	"github.com/midas-graph/midas/internal/store"
 	"github.com/midas-graph/midas/internal/telemetry"
-	"github.com/midas-graph/midas/internal/vfs"
-)
-
-// Bundle metadata keys tying the saved state to the spool journal.
-const (
-	metaLastBatch    = "lastBatch"
-	metaLastBatchSum = "lastBatchSum"
+	"github.com/midas-graph/midas/internal/tenant"
 )
 
 func main() {
@@ -116,7 +101,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		watchDir   = flag.String("watch", "", "spool directory: apply *.graphs / *.delete files as periodic batches")
 		watchIvl   = flag.Duration("interval", time.Minute, "spool polling interval")
-		jrnlPath   = flag.String("journal", "", "batch journal path for exactly-once batch recovery (default <save>.journal whenever -save is set; requires -save)")
+		jrnlPath   = flag.String("journal", "", "spool batch journal path for exactly-once spool recovery (default <save>.journal whenever -save and -watch are set; requires both)")
 		reqTimeout = flag.Duration("timeout", 2*time.Minute, "per-request deadline (0 disables)")
 		retries    = flag.Int("retries", 3, "attempts before a failing maintenance batch is parked as poisoned (spool batches are then quarantined as *.failed)")
 		backoff    = flag.Duration("backoff", 5*time.Second, "base retry backoff for failing maintenance batches (capped exponential growth per consecutive failure)")
@@ -141,6 +126,13 @@ func main() {
 
 	// Leveled stderr logging; MIDAS_LOG_LEVEL=debug|info|warn|error.
 	logger := telemetry.NewLoggerFromEnv(os.Stderr)
+	engine := midas.Options{
+		Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
+		SupMin:  *supMin,
+		Epsilon: *epsilon,
+		Seed:    *seed,
+		Workers: *workers,
+	}
 
 	if *replicaDir != "" {
 		runReplica(logger, replicaConfig{
@@ -156,13 +148,7 @@ func main() {
 			retries:  *retries,
 			backoff:  *backoff,
 			pprofOn:  *pprofOn,
-			engine: midas.Options{
-				Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
-				SupMin:  *supMin,
-				Epsilon: *epsilon,
-				Seed:    *seed,
-				Workers: *workers,
-			},
+			engine:   engine,
 			conflicts: map[string]bool{
 				"-state": *statePath != "", "-save": *savePath != "", "-watch": *watchDir != "",
 				"-journal": *jrnlPath != "", "-tenants-dir": *tenantsDir != "",
@@ -195,13 +181,7 @@ func main() {
 			checkpoint: *checkpoint,
 			watchIvl:   *watchIvl,
 			workers:    *workers,
-			engine: midas.Options{
-				Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
-				SupMin:  *supMin,
-				Epsilon: *epsilon,
-				Seed:    *seed,
-				Workers: *workers,
-			},
+			engine:     engine,
 			conflicts: map[string]bool{
 				"-db": *dbPath != "", "-state": *statePath != "", "-save": *savePath != "",
 				"-watch": *watchDir != "", "-journal": *jrnlPath != "", "-pprof": *pprofOn,
@@ -212,273 +192,59 @@ func main() {
 	if *tenantsMan != "" {
 		logger.Fatalf("midas-serve: -tenants requires -tenants-dir")
 	}
-	// A journal without a bundle to reconcile against is meaningless:
-	// catch the misconfiguration at startup, not at the first batch.
+	// A journal without a bundle to reconcile against, or without a
+	// spool to journal, is meaningless: catch the misconfiguration at
+	// startup, not at the first batch.
 	if *jrnlPath != "" && *savePath == "" {
 		logger.Fatalf("midas-serve: -journal requires -save (the journal reconciles batches against the saved bundle)")
 	}
-
-	opts := midas.Options{
-		Budget:  midas.Budget{MinSize: *minSize, MaxSize: *maxSize, Count: *gamma},
-		SupMin:  *supMin,
-		Epsilon: *epsilon,
-		Seed:    *seed,
-		Workers: *workers,
+	if *jrnlPath != "" && *watchDir == "" {
+		logger.Fatalf("midas-serve: -journal requires -watch (the journal records spool batches only)")
+	}
+	if *dbPath == "" && *statePath == "" {
+		logger.Fatalf("midas-serve: one of -db or -state is required")
+	}
+	paths := tenant.Paths{Restore: *statePath, Save: *savePath, Journal: *jrnlPath, Spool: *watchDir, DB: *dbPath}
+	if paths.Journal == "" && paths.Save != "" && paths.Spool != "" {
+		paths.Journal = paths.Save + ".journal"
 	}
 
-	var (
-		eng      *midas.Engine
-		meta     map[string]string
-		degraded bool
-	)
-	if *statePath != "" {
-		// Salvage-mode restore: roll an interrupted save forward or back
-		// to the nearest valid generation, quarantining damage. Only an
-		// unrecoverable (or absent) bundle falls through.
-		data, rep, err := store.LoadBundle(vfs.OS, *statePath, midas.VerifyState)
-		logSalvage(logger, *statePath, rep)
-		degraded = rep.Degraded()
-		if err == nil {
-			// Engine options come from the bundle header; only the
-			// wall-clock knob comes from the command line.
-			eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data), *workers)
-		}
-		switch {
-		case eng != nil:
-			logger.Infof("restored state: %d graphs, %d patterns", eng.DB().Len(), len(eng.Patterns()))
-		case errors.Is(err, store.ErrCorrupt):
-			logger.Errorf("midas-serve: state bundle unrecoverable, starting degraded: %v", err)
-			degraded = true
-		case errors.Is(err, os.ErrNotExist) && *dbPath != "":
-			logger.Infof("no state bundle at %s yet; bootstrapping from -db", *statePath)
-		default:
-			logger.Fatalf("midas-serve: %v", err)
-		}
-	}
-	switch {
-	case eng != nil:
-	case *dbPath != "":
-		f, err := os.Open(*dbPath)
-		if err != nil {
-			logger.Fatalf("midas-serve: %v", err)
-		}
-		graphs, err := graph.Read(f)
-		f.Close()
-		if err != nil {
-			logger.Fatalf("midas-serve: %v", err)
-		}
-		db := graph.NewDatabase()
-		for _, g := range graphs {
-			if err := db.Add(g); err != nil {
-				logger.Fatalf("midas-serve: %v", err)
-			}
-		}
-		logger.Infof("bootstrapping over %d graphs...", db.Len())
-		eng = midas.New(db, opts)
-		logger.Infof("selected %d patterns in %v", len(eng.Patterns()), eng.BootstrapTime())
-	case degraded:
-		// Every generation of the bundle was corrupt and there is no -db
-		// to rebuild from. Serve an empty panel instead of crash-looping:
-		// the spool watcher or POST /maintain can repopulate it, and the
-		// quarantined *.corrupt files hold the damage for post-mortem.
-		logger.Warnf("starting degraded with an empty database")
-		eng = midas.New(graph.NewDatabase(), opts)
-	default:
-		fmt.Fprintln(os.Stderr, "midas-serve: one of -db or -state is required")
-		os.Exit(1)
-	}
-
-	srv := panel.New(eng, opts)
-	srv.SetLogger(logger)
-	srv.SetRequestTimeout(*reqTimeout)
-	srv.SetMaxInflight(*inflight)
-	srv.SetMaintainQueue(*queueSize)
-	srv.SetMaintainRetry(*backoff, *retries)
-	// A degraded start (all bundle generations lost) is stamped into
-	// every published snapshot so clients see X-Midas-Degraded until an
-	// operator intervenes.
-	srv.SetDegraded(degraded)
-
-	// Telemetry: one registry backs /metrics and /debug/vars, fed by the
-	// panel middleware, the engine's maintenance pipeline, and the
+	// One registry backs /metrics and /debug/vars, fed by the panel
+	// middleware, the engine, the maintenance pipeline and the
 	// process-wide kernel counters.
-	reg := telemetry.NewRegistry()
-	srv.SetTelemetry(reg)
-	eng.SetTelemetry(reg)
-	iso.RegisterMetrics(reg)
-	ged.RegisterMetrics(reg)
-	catapult.RegisterMetrics(reg)
-	store.RegisterMetrics(reg)
-	parallel.RegisterMetrics(reg)
-	procStart := time.Now()
-	reg.NewGaugeFunc("midas_serve_uptime_seconds",
-		"Seconds since the serving process started.",
-		func() float64 { return time.Since(procStart).Seconds() })
-	reg.NewGaugeFunc("midas_serve_degraded",
-		"1 while the panel runs on a salvaged or empty state after losing bundle generations.",
-		func() float64 {
-			if degraded {
-				return 1
-			}
-			return 0
-		})
-	saveSeconds := reg.NewHistogram("midas_state_save_seconds",
-		"Wall-clock seconds per state-bundle save.", nil)
+	reg := newMetrics()
+	sh, err := tenant.OpenShard("", paths, tenant.Options{
+		Engine:         engine,
+		RequestTimeout: *reqTimeout,
+		MaxInflight:    *inflight,
+		QueueSize:      *queueSize,
+		Retries:        *retries,
+		Backoff:        *backoff,
+		Checkpoint:     *checkpoint,
+		WatchInterval:  *watchIvl,
+		Telemetry:      reg,
+		Logger:         logger,
+	})
+	if err != nil {
+		logger.Fatalf("midas-serve: %v", err)
+	}
+	srv := sh.Server()
 	if *pprofOn {
 		srv.EnablePprof()
 		logger.Warnf("pprof endpoints enabled on /debug/pprof/")
 	}
 
-	// lastMeta tracks the most recently persisted batch so the shutdown
-	// save keeps the journal reconciliation metadata intact.
-	var (
-		metaMu   sync.Mutex
-		lastMeta = map[string]string{}
-	)
-	for k, v := range meta {
-		lastMeta[k] = v
-	}
-	saveBundle := func() error {
-		metaMu.Lock()
-		m := make(map[string]string, len(lastMeta))
-		for k, v := range lastMeta {
-			m[k] = v
-		}
-		metaMu.Unlock()
-		sp := saveSeconds.Start()
-		defer sp.End()
-		return store.SaveBundle(vfs.OS, *savePath, func(w io.Writer) error {
-			return midas.SaveStateMeta(w, eng, m)
-		})
-	}
-	if *savePath != "" {
-		// Durability hook for HTTP batches: runs on the maintenance
-		// goroutine after each applied batch, before its generation is
-		// published — replaces the old save-after-200 middleware, which
-		// raced the response against the save.
-		srv.SetPostMaintain(func(midas.MaintenanceReport) error { return saveBundle() })
-	}
-
-	// The write-ahead journal rides with -save alone: HTTP batches are
-	// journalled too (Begin before apply, MarkApplied/MarkDone after the
-	// bundle lands), so exactly-once recovery no longer requires -watch.
-	var journal *store.Journal
-	if *savePath != "" {
-		jp := *jrnlPath
-		if jp == "" {
-			jp = *savePath + ".journal"
-		}
-		var err error
-		journal, err = store.OpenJournal(jp)
-		if err != nil {
-			logger.Fatalf("midas-serve: %v", err)
-		}
-		if s := journal.Salvage(); s.TailBytes > 0 {
-			logger.Warnf("journal salvage: %d torn byte(s) quarantined to %s", s.TailBytes, s.QuarantinePath)
-		}
-		journal.SetCheckpointThreshold(*checkpoint)
-		// Post-Maintain checkpoint hook: after every successful
-		// maintenance (spool batch or POST /maintain) compact the
-		// journal once it outgrows the -checkpoint threshold.
-		j := journal
-		eng.SetAfterMaintain(func(midas.MaintenanceReport) {
-			if ran, err := j.MaybeCheckpoint(); err != nil {
-				logger.Errorf("midas-serve: journal checkpoint: %v", err)
-			} else if ran {
-				logger.Infof("journal compacted to %d bytes", j.Size())
-			}
-		})
-		srv.SetJournal(journal)
-	}
-
-	stopWatch := make(chan struct{})
-	var watchWG sync.WaitGroup
-	if *watchDir != "" {
-		w := &panel.Watcher{
-			Dir:        *watchDir,
-			Engine:     eng,
-			Logf:       logger.Printf,
-			Pipe:       srv.Pipeline(),
-			MaxRetries: *retries,
-			Backoff:    *backoff,
-		}
-		if journal != nil {
-			w.Journal = journal
-			w.Persist = func(name string, sum uint32) error {
-				metaMu.Lock()
-				lastMeta[metaLastBatch] = name
-				lastMeta[metaLastBatchSum] = fmt.Sprintf("%08x", sum)
-				metaMu.Unlock()
-				return saveBundle()
-			}
-			// Seed crash recovery from the restored bundle's metadata.
-			w.LastApplied = meta[metaLastBatch]
-			if s, err := strconv.ParseUint(meta[metaLastBatchSum], 16, 32); err == nil {
-				w.LastAppliedSum = uint32(s)
-			}
-		}
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			w.Run(*watchIvl, stopWatch)
-		}()
-		logger.Infof("watching %s every %v", *watchDir, *watchIvl)
-	}
-
-	server := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
 	logger.Infof("serving pattern panel on %s", *addr)
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	select {
-	case err := <-errCh:
-		logger.Fatalf("midas-serve: %v", err)
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: drain readiness, finish in-flight requests,
-	// stop the watcher, persist state, exit 0.
-	logger.Infof("signal received; draining...")
-	srv.SetReady(false)
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer shutCancel()
-	if err := server.Shutdown(shutCtx); err != nil {
-		logger.Warnf("midas-serve: shutdown: %v", err)
-	}
-	close(stopWatch)
-	watchWG.Wait()
-	// Drain the maintenance pipeline: queued batches finish (each one
-	// journalled and persisted as usual); past the deadline the
-	// in-flight batch is cancelled and rolls back cleanly.
-	drainCtx, drainCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer drainCancel()
-	if err := srv.Close(drainCtx); err != nil {
-		logger.Warnf("midas-serve: pipeline drain cut short: %v", err)
-	}
-	if journal != nil {
-		journal.Close()
-	}
-	if *savePath != "" {
-		if err := saveBundle(); err != nil {
-			logger.Fatalf("midas-serve: saving state on shutdown: %v", err)
-		}
-		logger.Infof("state saved to %s", *savePath)
-	}
-	logger.Infof("bye")
-}
-
-// logSalvage narrates what LoadBundle had to repair so an operator can
-// tell a clean restart from a salvaged one.
-func logSalvage(logger *telemetry.Logger, path string, rep store.SalvageReport) {
-	for _, q := range rep.Quarantined {
-		logger.Warnf("state salvage: quarantined %s", q)
-	}
-	if rep.RolledForward {
-		logger.Warnf("state salvage: rolled %s forward to its completed in-flight save", path)
-	}
-	if rep.RolledBack {
-		logger.Warnf("state salvage: rolled %s back to its previous generation", path)
-	}
+	serve(logger, &http.Server{Addr: *addr, Handler: srv.Handler()},
+		func() { srv.SetReady(false) },
+		func(ctx context.Context) error {
+			if err := sh.Drain(ctx); err != nil {
+				return err
+			}
+			if *savePath != "" {
+				logger.Infof("state saved to %s", *savePath)
+			}
+			logger.Infof("bye")
+			return nil
+		})
 }

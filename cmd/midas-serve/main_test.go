@@ -1,0 +1,171 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"github.com/midas-graph/midas/graph"
+	"github.com/midas-graph/midas/internal/dataset"
+)
+
+// serveAsMain, when set in the environment, makes the test binary run
+// as midas-serve itself: the smoke test re-executes it with server
+// flags, so the process under test is the real main.
+const serveAsMain = "MIDAS_SERVE_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(serveAsMain) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// serveProc is one midas-serve process started from the test binary.
+type serveProc struct {
+	cmd  *exec.Cmd
+	base string
+	log  string
+}
+
+// startServe launches midas-serve with args on a free local port and
+// waits until /readyz answers 200.
+func startServe(t *testing.T, dir string, args ...string) *serveProc {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	logPath := filepath.Join(dir, fmt.Sprintf("serve-%d.log", time.Now().UnixNano()))
+	logf, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logf.Close()
+	cmd := exec.Command(os.Args[0], append(args, "-addr", addr)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), serveAsMain+"=1")
+	cmd.Stdout, cmd.Stderr = logf, logf
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p := &serveProc{cmd: cmd, base: "http://" + addr, log: logPath}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		resp, err := http.Get(p.base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return p
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("midas-serve never became ready\n%s", p.logText())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+func (p *serveProc) logText() string {
+	b, _ := os.ReadFile(p.log)
+	return string(b)
+}
+
+// stop sends SIGTERM and requires a clean exit 0.
+func (p *serveProc) stop(t *testing.T) {
+	t.Helper()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("midas-serve exited with %v after SIGTERM\n%s", err, p.logText())
+	}
+}
+
+func (p *serveProc) get(t *testing.T, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(p.base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d (%v): %s", path, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// TestServeSmoke drives single-tenant midas-serve as a process: boot
+// from -db with -save and -watch, apply one HTTP and one spool batch,
+// stop with SIGTERM (exit 0), restart from the saved -state, and
+// require the restarted panel to be byte-identical.
+func TestServeSmoke(t *testing.T) {
+	dir := t.TempDir()
+	spool := filepath.Join(dir, "spool")
+	if err := os.Mkdir(spool, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db := dataset.EMolLike().GenerateDB(16, 3)
+	if err := os.WriteFile(filepath.Join(dir, "db.graphs"), []byte(graph.Marshal(db.Graphs())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	engine := []string{"-gamma", "4", "-min", "2", "-max", "4", "-workers", "1"}
+
+	p := startServe(t, dir, append([]string{"-db", "db.graphs", "-save", "panel.state",
+		"-watch", "spool", "-interval", "20ms"}, engine...)...)
+
+	batch := graph.Marshal(dataset.BoronicEsters().Generate(2, 0, 7))
+	resp, err := http.Post(p.base+"/maintain", "text/plain", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /maintain = %d", resp.StatusCode)
+	}
+
+	spoolBatch := graph.Marshal(dataset.BoronicEsters().Generate(2, 5000, 9))
+	if err := os.WriteFile(filepath.Join(spool, "b1.graphs"), []byte(spoolBatch), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if _, err := os.Stat(filepath.Join(spool, "b1.graphs.done")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("spool batch never applied\n%s", p.logText())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	patterns, quality := p.get(t, "/patterns"), p.get(t, "/quality")
+	p.stop(t)
+
+	q := startServe(t, dir, append([]string{"-state", "panel.state"}, engine...)...)
+	if got := q.get(t, "/patterns"); !bytes.Equal(got, patterns) {
+		t.Fatalf("restarted /patterns differs:\nbefore %s\nafter  %s", patterns, got)
+	}
+	if got := q.get(t, "/quality"); !bytes.Equal(got, quality) {
+		t.Fatalf("restarted /quality differs:\nbefore %s\nafter  %s", quality, got)
+	}
+	q.stop(t)
+}

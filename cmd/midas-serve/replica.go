@@ -5,21 +5,14 @@ import (
 	"errors"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
-	"github.com/midas-graph/midas/internal/catapult"
-	"github.com/midas-graph/midas/internal/ged"
-	"github.com/midas-graph/midas/internal/iso"
 	"github.com/midas-graph/midas/internal/panel"
-	"github.com/midas-graph/midas/internal/parallel"
 	"github.com/midas-graph/midas/internal/replica"
-	"github.com/midas-graph/midas/internal/store"
 	"github.com/midas-graph/midas/internal/telemetry"
 	"github.com/midas-graph/midas/internal/vfs"
 )
@@ -71,12 +64,7 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 		logger.Fatalf("midas-serve: %v", err)
 	}
 
-	reg := telemetry.NewRegistry()
-	iso.RegisterMetrics(reg)
-	ged.RegisterMetrics(reg)
-	catapult.RegisterMetrics(reg)
-	store.RegisterMetrics(reg)
-	parallel.RegisterMetrics(reg)
+	reg := newMetrics()
 
 	ncfg := replica.Config{
 		FS:      vfs.OS,
@@ -86,20 +74,9 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 			if cfg.db == "" {
 				return nil, errors.New("primary cold start needs -db (no bundle under -replica-dir yet)")
 			}
-			f, err := os.Open(cfg.db)
+			db, err := graph.ReadDatabaseFile(cfg.db)
 			if err != nil {
 				return nil, err
-			}
-			graphs, err := graph.Read(f)
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			db := graph.NewDatabase()
-			for _, g := range graphs {
-				if err := db.Add(g); err != nil {
-					return nil, err
-				}
 			}
 			logger.Infof("bootstrapping over %d graphs...", db.Len())
 			return midas.New(db, cfg.engine), nil
@@ -159,37 +136,22 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 		logger.Infof("replication endpoints on %s", cfg.listen)
 	}
 
-	server := &http.Server{Addr: cfg.addr, Handler: mux}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
 	logger.Infof("serving replicated pattern panel on %s (%s)", cfg.addr, node.Role())
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	select {
-	case err := <-errCh:
-		logger.Fatalf("midas-serve: %v", err)
-	case <-ctx.Done():
-	}
-
-	logger.Infof("signal received; draining...")
-	srv.SetReady(false)
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer shutCancel()
-	if err := server.Shutdown(shutCtx); err != nil {
-		logger.Warnf("midas-serve: shutdown: %v", err)
-	}
-	if repSrv != nil {
-		if err := repSrv.Shutdown(shutCtx); err != nil {
-			logger.Warnf("midas-serve: replica listener shutdown: %v", err)
-		}
-	}
-	// Node.Stop drains the pipeline and closes the log; its bundle was
-	// saved after every committed record, so no final save is needed.
-	stopCtx, stopCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer stopCancel()
-	if err := node.Stop(stopCtx); err != nil {
-		logger.Warnf("midas-serve: replica stop: %v", err)
-	}
-	logger.Infof("bye (role=%s epoch=%d lsn=%d)", node.Role(), node.Epoch(), node.LastLSN())
+	serve(logger, &http.Server{Addr: cfg.addr, Handler: mux},
+		func() { srv.SetReady(false) },
+		func(ctx context.Context) error {
+			if repSrv != nil {
+				if err := repSrv.Shutdown(ctx); err != nil {
+					logger.Warnf("midas-serve: replica listener shutdown: %v", err)
+				}
+			}
+			// Node.Stop drains the pipeline and closes the log; its bundle
+			// was saved after every committed record, so no final save is
+			// needed.
+			if err := node.Stop(ctx); err != nil {
+				logger.Warnf("midas-serve: replica stop: %v", err)
+			}
+			logger.Infof("bye (role=%s epoch=%d lsn=%d)", node.Role(), node.Epoch(), node.LastLSN())
+			return nil
+		})
 }

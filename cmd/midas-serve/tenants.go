@@ -3,19 +3,13 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"github.com/midas-graph/midas"
-	"github.com/midas-graph/midas/internal/catapult"
-	"github.com/midas-graph/midas/internal/ged"
-	"github.com/midas-graph/midas/internal/iso"
-	"github.com/midas-graph/midas/internal/parallel"
-	"github.com/midas-graph/midas/internal/store"
 	"github.com/midas-graph/midas/internal/telemetry"
 	"github.com/midas-graph/midas/internal/tenant"
 )
@@ -68,17 +62,8 @@ func runTenants(logger *telemetry.Logger, cfg tenantsConfig) {
 
 	// One registry backs /metrics for every shard; shard families carry
 	// a tenant label through the per-tenant views, and the process-wide
-	// kernel counters register once, unlabelled.
-	reg := telemetry.NewRegistry()
-	iso.RegisterMetrics(reg)
-	ged.RegisterMetrics(reg)
-	catapult.RegisterMetrics(reg)
-	store.RegisterMetrics(reg)
-	parallel.RegisterMetrics(reg)
-	procStart := time.Now()
-	reg.NewGaugeFunc("midas_serve_uptime_seconds",
-		"Seconds since the serving process started.",
-		func() float64 { return time.Since(procStart).Seconds() })
+	// families register once, unlabelled.
+	reg := newMetrics()
 
 	registry := tenant.NewRegistry(tenant.Options{
 		Root:           cfg.dir,
@@ -89,9 +74,7 @@ func runTenants(logger *telemetry.Logger, cfg tenantsConfig) {
 		Retries:        cfg.retries,
 		Backoff:        cfg.backoff,
 		Checkpoint:     cfg.checkpoint,
-		Watch:          true,
 		WatchInterval:  cfg.watchIvl,
-		Save:           true,
 		Budget:         tenant.NewBudget(cfg.workers),
 		Telemetry:      reg,
 		Logger:         logger,
@@ -128,34 +111,17 @@ func runTenants(logger *telemetry.Logger, cfg tenantsConfig) {
 		logger.Infof("tenant admin endpoints enabled on /admin/tenants")
 	}
 
-	server := &http.Server{Addr: cfg.addr, Handler: router}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
 	logger.Infof("serving %d tenant(s) on %s (slot %d/%d)", registry.Len(), cfg.addr, cfg.slot, cfg.slots)
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	select {
-	case err := <-errCh:
-		logger.Fatalf("midas-serve: %v", err)
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: flip /readyz to draining, finish in-flight
-	// requests, then drain every shard concurrently — each one stops
-	// its watcher, finishes queued batches, checkpoints its journal and
-	// saves its final bundle.
-	logger.Infof("signal received; draining %d tenant(s)...", registry.Len())
-	router.SetDraining(true)
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer shutCancel()
-	if err := server.Shutdown(shutCtx); err != nil {
-		logger.Warnf("midas-serve: shutdown: %v", err)
-	}
-	drainCtx, drainCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer drainCancel()
-	if err := registry.DrainAll(drainCtx); err != nil {
-		logger.Fatalf("midas-serve: draining tenants: %v", err)
-	}
-	logger.Infof("bye")
+	// Graceful shutdown drains every shard concurrently — each one
+	// stops its watcher, finishes queued batches, checkpoints its
+	// journal and saves its final bundle.
+	serve(logger, &http.Server{Addr: cfg.addr, Handler: router},
+		func() { router.SetDraining(true) },
+		func(ctx context.Context) error {
+			if err := registry.DrainAll(ctx); err != nil {
+				return fmt.Errorf("draining tenants: %w", err)
+			}
+			logger.Infof("bye")
+			return nil
+		})
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,20 +18,27 @@ import (
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
-	"github.com/midas-graph/midas/internal/panel"
+	"github.com/midas-graph/midas/internal/tenant"
 )
 
 func main() {
-	// Server side: bootstrap an engine and expose it over HTTP.
+	// Server side: bootstrap an engine in an in-memory serving stack
+	// and expose it over HTTP.
 	db := dataset.PubChemLike().GenerateDB(80, 17)
-	opts := midas.Options{
-		Budget:  midas.Budget{MinSize: 3, MaxSize: 6, Count: 8},
-		SupMin:  0.4,
-		Epsilon: 0.02,
-		Seed:    4,
-	}
-	eng := midas.New(db, opts)
-	srv := httptest.NewServer(panel.New(eng, opts).Handler())
+	sh, err := tenant.OpenShard("", tenant.Paths{}, tenant.Options{
+		Engine: midas.Options{
+			Budget:  midas.Budget{MinSize: 3, MaxSize: 6, Count: 8},
+			SupMin:  0.4,
+			Epsilon: 0.02,
+			Seed:    4,
+		},
+		NewEngine: func(_ string, opts midas.Options) (*midas.Engine, bool, error) {
+			return midas.New(db, opts), false, nil
+		},
+	})
+	must(err)
+	defer sh.Drain(context.Background())
+	srv := httptest.NewServer(sh.Handler())
 	defer srv.Close()
 	fmt.Println("panel service listening on", srv.URL)
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -37,6 +38,27 @@ func Write(w io.Writer, graphs []*Graph) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadDatabaseFile reads a database file in the text format. Graph IDs
+// must be unique.
+func ReadDatabaseFile(path string) (*Database, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	graphs, err := Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	d := NewDatabase()
+	for _, g := range graphs {
+		if err := d.Add(g); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }
 
 // Read parses graphs in the text format from r. It validates that vertex

@@ -39,7 +39,7 @@ func journalLines(sim *vfs.Sim) []string {
 // mention it yet, and the final record sequence must be each batch's
 // full begin→applied→done lifecycle in the order batches ran.
 func TestJournalAppendOrderMatchesApplyOrder(t *testing.T) {
-	s, eng := testServer(t)
+	s, _ := testServer(t)
 	pipe := s.Pipeline()
 	h := s.Handler()
 
@@ -51,7 +51,7 @@ func TestJournalAppendOrderMatchesApplyOrder(t *testing.T) {
 	t.Cleanup(func() { jr.Close() })
 
 	dir := t.TempDir()
-	w := &Watcher{Dir: dir, Engine: eng, Journal: jr, Pipe: pipe}
+	w := &Watcher{Dir: dir, Journal: jr, Pipe: pipe}
 	writeBatch(t, dir, "a.graphs", dataset.BoronicEsters().Generate(2, 9800, 5))
 	writeBatch(t, dir, "b.graphs", dataset.BoronicEsters().Generate(2, 9820, 5))
 

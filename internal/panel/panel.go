@@ -17,21 +17,20 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/snapshot"
-	"github.com/midas-graph/midas/internal/store"
 	"github.com/midas-graph/midas/internal/telemetry"
 )
 
-// Server wraps an engine with HTTP handlers. Reads and writes are
-// decoupled: every engine mutation flows through a single background
-// maintenance pipeline (internal/snapshot), and each successful batch
-// publishes an immutable snapshot through an atomic generation pointer.
+// Server routes HTTP over serving plumbing it does not own. Reads and
+// writes are decoupled: every engine mutation flows through a single
+// background maintenance pipeline (internal/snapshot), and each
+// successful batch publishes an immutable snapshot through an atomic
+// generation pointer.
 // Read handlers (/, /patterns, /quality, /query) load that pointer
 // lock-free, so they never block on — or observe half of — an in-flight
 // batch; a slow, failing, panicking or poisoned batch leaves readers on
@@ -44,39 +43,17 @@ import (
 // propagates into Maintain and Query cancellation, and /healthz and
 // /readyz expose liveness and readiness for process supervisors.
 type Server struct {
-	engine *midas.Engine
-	opts   midas.Options
-
 	// handle is the atomic generation pointer read handlers load; pipe
-	// is the single-writer pipeline that publishes to it. Both are
-	// finalised by ensurePipeline (first Handler or Pipeline call).
-	handle    *snapshot.Handle
-	pipe      *snapshot.Pipeline
-	startOnce sync.Once
-
-	// extPipe, when set (NewReplicated), resolves the externally-owned
-	// maintenance pipeline on every use. A replication node swaps its
-	// pipeline across divergence re-bootstraps, so the pointer cannot
-	// be cached here; the accessor indirection keeps every submission
-	// on the node's current pipeline.
-	extPipe func() *snapshot.Pipeline
+	// resolves the single-writer pipeline that publishes to it. The
+	// owner (tenant.Shard or replica.Node) builds both, publishes the
+	// first generation and starts the pipeline before serving. pipe is
+	// re-resolved on every use: a replication node swaps its pipeline
+	// across divergence re-bootstraps.
+	handle *snapshot.Handle
+	pipe   func() *snapshot.Pipeline
 	// replica, when set, stamps replication role and lag onto every
 	// snapshot-served response and the /readyz detail line.
 	replica *ReplicaInfo
-
-	// Pipeline knobs; fixed once ensurePipeline runs.
-	queueSize    int
-	retryBackoff time.Duration
-	maxAttempts  int
-	degraded     bool
-	postMaintain func(midas.MaintenanceReport) error
-	// journal, when set, records each HTTP batch's lifecycle in the
-	// write-ahead journal — on the maintenance goroutine, so journal
-	// append order equals apply order for HTTP and spool batches alike.
-	journal *store.Journal
-	// gate, when set, is acquired before each batch runs — the
-	// multi-tenant shared maintenance-worker budget.
-	gate func(ctx context.Context) (func(), error)
 
 	// batchSeq names HTTP-submitted batches for logs and poison records.
 	batchSeq atomic.Uint64
@@ -104,25 +81,14 @@ type Server struct {
 	Logf func(format string, args ...interface{})
 }
 
-// New wraps an engine. The server starts ready (the engine is already
-// bootstrapped by construction); SetReady(false) drains /readyz.
-func New(engine *midas.Engine, opts midas.Options) *Server {
-	s := &Server{engine: engine, opts: opts, handle: snapshot.NewHandle()}
-	s.ready.Store(true)
-	return s
-}
-
-// NewReplicated wraps externally-owned serving plumbing: the snapshot
-// handle and maintenance pipeline belong to a replication node, which
-// bootstraps the engine, publishes generations, and rebuilds the
-// pipeline after a divergence re-bootstrap. The server only routes:
-// reads load the handle lock-free exactly as in the self-owned mode,
-// and /maintain submits through pipe() — whose admission hook fences
-// writes when the node is a follower, surfaced to clients as 503 +
-// Retry-After + X-Midas-Primary. Close is a no-op; the node owns the
-// pipeline lifecycle. Pair with SetReplicaInfo for the role headers.
-func NewReplicated(opts midas.Options, handle *snapshot.Handle, pipe func() *snapshot.Pipeline) *Server {
-	s := &Server{opts: opts, handle: handle, extPipe: pipe}
+// New routes over serving plumbing its caller owns: reads load handle
+// lock-free, and /maintain submits through pipe(), whose admission hook
+// may fence writes (a replication follower's 503 + Retry-After +
+// X-Midas-Primary). The owner publishes the first generation, starts
+// the pipeline and stops it; the server never does. It starts ready;
+// SetReady(false) drains /readyz.
+func New(handle *snapshot.Handle, pipe func() *snapshot.Pipeline) *Server {
+	s := &Server{handle: handle, pipe: pipe}
 	s.ready.Store(true)
 	return s
 }
@@ -153,130 +119,13 @@ func (s *Server) SetReplicaInfo(info *ReplicaInfo) { s.replica = info }
 // before serving traffic.
 func (s *Server) SetRequestTimeout(d time.Duration) { s.timeout = d }
 
-// SetMaintainQueue bounds the async maintenance queue: batches beyond
-// it are rejected with 429 + Retry-After instead of accumulating
-// unboundedly (0 selects the pipeline default of 64). Call before
-// Handler() or Pipeline().
-func (s *Server) SetMaintainQueue(n int) { s.queueSize = n }
-
-// SetMaintainRetry configures the pipeline's retry discipline for
-// failing batches: capped exponential backoff seeded by backoff, parked
-// as poisoned after maxAttempts (zeros select immediate retry and 3
-// attempts). Call before Handler() or Pipeline().
-func (s *Server) SetMaintainRetry(backoff time.Duration, maxAttempts int) {
-	s.retryBackoff = backoff
-	s.maxAttempts = maxAttempts
-}
-
-// SetDegraded marks every published snapshot as serving degraded state
-// (midas-serve lost all bundle generations and started from salvage or
-// empty). Surfaces as Snapshot.Degraded and the X-Midas-Degraded
-// header. Call before Handler() or Pipeline().
-func (s *Server) SetDegraded(on bool) { s.degraded = on }
-
-// SetPostMaintain installs the durability hook run on the maintenance
-// goroutine after each successfully applied HTTP batch, before its
-// generation is published — midas-serve persists the state bundle here.
-// An error fails the batch attempt (the retry re-runs only this hook;
-// the applied update is not applied twice). Call before Handler() or
-// Pipeline().
-func (s *Server) SetPostMaintain(fn func(midas.MaintenanceReport) error) { s.postMaintain = fn }
-
-// SetJournal records each HTTP-submitted batch in the write-ahead
-// journal: Begin immediately before apply (on the maintenance
-// goroutine), MarkApplied and MarkDone after the batch and its
-// durability hook succeed. Spool batches are journalled by the Watcher
-// with the same discipline; both flow through the one pipeline, so the
-// journal stays in apply order. Call before Handler() or Pipeline().
-func (s *Server) SetJournal(j *store.Journal) { s.journal = j }
-
-// SetMaintainGate installs an admission gate acquired on the
-// maintenance goroutine before each batch's first attempt and released
-// when the batch is terminal — the seam a multi-tenant registry uses
-// to share one worker budget across shards. A gate error fails the
-// batch without retry. Call before Handler() or Pipeline().
-func (s *Server) SetMaintainGate(gate func(ctx context.Context) (func(), error)) { s.gate = gate }
-
-// renderPattern is the SVG renderer published snapshots pre-render
-// with, so read handlers serve bytes instead of computing markup.
-func renderPattern(g *graph.Graph) string { return SVG(g, 120) }
-
-// ensurePipeline finalises the serving plumbing exactly once: builds
-// the pipeline from the configured knobs, attaches telemetry, publishes
-// the bootstrap snapshot (generation 1, from the engine state as
-// constructed or restored) and starts the maintenance goroutine.
-func (s *Server) ensurePipeline() {
-	if s.extPipe != nil {
-		// Replicated mode: the node built, published and started the
-		// plumbing before handing it to us.
-		return
-	}
-	s.startOnce.Do(func() {
-		s.pipe = snapshot.NewPipeline(s.engine, s.handle, snapshot.Config{
-			QueueSize:   s.queueSize,
-			MaxAttempts: s.maxAttempts,
-			Backoff:     s.retryBackoff,
-			RenderSVG:   renderPattern,
-			Degraded:    s.degraded,
-			Gate:        s.gate,
-			Logf: func(format string, args ...interface{}) {
-				s.logf(telemetry.LevelWarn, format, args...)
-			},
-		})
-		if s.reg != nil {
-			s.pipe.SetTelemetry(s.reg)
-		}
-		if s.handle.Generation() == 0 {
-			s.handle.Publish(snapshot.Build(s.engine, snapshot.BuildOptions{
-				RenderSVG: renderPattern,
-				Degraded:  s.degraded,
-			}))
-		}
-		s.pipe.Start()
-	})
-}
-
-// Pipeline returns the server's maintenance pipeline, finalising the
-// serving plumbing on first use — out-of-band producers (the spool
-// Watcher) submit through it so journal append order equals apply
-// order.
-func (s *Server) Pipeline() *snapshot.Pipeline {
-	if s.extPipe != nil {
-		return s.extPipe()
-	}
-	s.ensurePipeline()
-	return s.pipe
-}
-
-// currentPipe resolves the maintenance pipeline without finalising the
-// plumbing: the externally-owned one in replicated mode (re-resolved
-// per call — the node swaps it across re-bootstraps), otherwise the
-// server's own (nil before the first Handler/Pipeline call).
-func (s *Server) currentPipe() *snapshot.Pipeline {
-	if s.extPipe != nil {
-		return s.extPipe()
-	}
-	return s.pipe
-}
+// Pipeline returns the maintenance pipeline the server submits to —
+// the owner's current one. Out-of-band producers (the spool Watcher)
+// submit through it so journal append order equals apply order.
+func (s *Server) Pipeline() *snapshot.Pipeline { return s.pipe() }
 
 // Handle returns the generation pointer the read handlers load.
 func (s *Server) Handle() *snapshot.Handle { return s.handle }
-
-// Close drains the maintenance pipeline: queued batches finish
-// normally until ctx expires, after which the in-flight batch is
-// cancelled (rolling back cleanly) and the rest are flushed. Callers
-// persist state after Close so the bundle reflects the final
-// generation.
-func (s *Server) Close(ctx context.Context) error {
-	if s.extPipe != nil {
-		// The replication node owns the pipeline lifecycle (Node.Stop).
-		return nil
-	}
-	if s.pipe == nil {
-		return nil
-	}
-	return s.pipe.Stop(ctx)
-}
 
 // SetMaxInflight bounds the heavy requests (/maintain, /query) served
 // concurrently (0 disables). Excess requests are shed immediately with
@@ -340,7 +189,7 @@ func (s *Server) withShedding(next http.Handler) http.Handler {
 func (s *Server) retryAfter() string {
 	var depth int
 	var ewma time.Duration
-	if pipe := s.currentPipe(); pipe != nil {
+	if pipe := s.pipe(); pipe != nil {
 		depth = pipe.Depth()
 		ewma = pipe.BatchEWMA()
 	}
@@ -373,13 +222,10 @@ func (s *Server) SetReady(ok bool) { s.ready.Store(ok) }
 
 // Handler returns the route table wrapped in the middleware chain:
 // metrics (outermost, also installs the double-write guard), panic
-// recovery, then the request deadline. It also finalises the serving
-// plumbing: the first call publishes the bootstrap snapshot and starts
-// the maintenance goroutine. /metrics and /debug/vars appear when
-// SetTelemetry was called, /debug/pprof/ when EnablePprof was —
+// recovery, then the request deadline. /metrics and /debug/vars appear
+// when SetTelemetry was called, /debug/pprof/ when EnablePprof was —
 // otherwise those paths 404.
 func (s *Server) Handler() http.Handler {
-	s.ensurePipeline()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/patterns", s.handlePatterns)
@@ -485,7 +331,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.staleness(); st > 0 {
 		depth := 0
-		if pipe := s.currentPipe(); pipe != nil {
+		if pipe := s.pipe(); pipe != nil {
 			depth = pipe.Depth()
 		}
 		fmt.Fprintf(w, "ready (stale: serving generation %d, %.3fs behind %d pending batch(es); %s)\n",
@@ -496,9 +342,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // staleness is the serving lag behind submitted maintenance (0 when
-// idle or before the pipeline exists).
+// idle or before the owner built a pipeline).
 func (s *Server) staleness() time.Duration {
-	pipe := s.currentPipe()
+	pipe := s.pipe()
 	if pipe == nil {
 		return 0
 	}
@@ -512,7 +358,7 @@ func (s *Server) lsn() uint64 {
 	if ri := s.replica; ri != nil && ri.LSN != nil {
 		return ri.LSN()
 	}
-	if pipe := s.currentPipe(); pipe != nil {
+	if pipe := s.pipe(); pipe != nil {
 		return pipe.Applied()
 	}
 	return 0
@@ -541,7 +387,7 @@ func (s *Server) snapshotHeaders(w http.ResponseWriter, snap *snapshot.Snapshot)
 
 // loadSnapshot returns the current snapshot for a read handler, or
 // answers 503 and returns nil when none was ever published (only
-// possible before Handler() ran).
+// possible before the owner published its first generation).
 func (s *Server) loadSnapshot(w http.ResponseWriter) *snapshot.Snapshot {
 	snap := s.handle.Load()
 	if snap == nil {
@@ -696,31 +542,13 @@ func (s *Server) handleMaintain(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := fmt.Sprintf("http-%d", s.batchSeq.Add(1))
-	batch := snapshot.Batch{Name: name, Update: u, After: s.postMaintain}
-	if j := s.journal; j != nil {
-		sum := store.ChecksumBytes(body)
-		batch.Before = func() error { return j.Begin(name, sum) }
-		post := s.postMaintain
-		batch.After = func(rep midas.MaintenanceReport) error {
-			if post != nil {
-				if err := post(rep); err != nil {
-					return err
-				}
-			}
-			if err := j.MarkApplied(name); err != nil {
-				return err
-			}
-			// No spool file to rename for an HTTP batch: done follows
-			// applied immediately, completing the journal entry.
-			return j.MarkDone(name)
-		}
-	}
+	batch := snapshot.Batch{Name: name, Update: u}
 	async := r.URL.Query().Get("async") == "1"
 	if !async {
 		// Synchronous: the request deadline bounds the batch itself.
 		batch.Ctx = r.Context()
 	}
-	tkt, err := s.Pipeline().Submit(batch)
+	tkt, err := s.pipe().Submit(batch)
 	if err != nil {
 		s.maintainRejected(w, err)
 		return

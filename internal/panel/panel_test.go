@@ -1,18 +1,29 @@
 package panel
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/snapshot"
 )
 
 func testServer(t *testing.T) (*Server, *midas.Engine) {
+	t.Helper()
+	return testServerWith(t, snapshot.Config{})
+}
+
+// testServerWith routes a Server over a freshly bootstrapped engine and
+// a started pipeline configured by cfg — the plumbing tenant.Shard owns
+// in production. The pipeline is stopped at cleanup.
+func testServerWith(t *testing.T, cfg snapshot.Config) (*Server, *midas.Engine) {
 	t.Helper()
 	db := dataset.EMolLike().GenerateDB(20, 3)
 	opts := midas.Options{
@@ -23,7 +34,17 @@ func testServer(t *testing.T) (*Server, *midas.Engine) {
 		Seed:    1,
 	}
 	eng := midas.New(db, opts)
-	return New(eng, opts), eng
+	handle := snapshot.NewHandle()
+	cfg.RenderSVG = func(g *graph.Graph) string { return SVG(g, 120) }
+	pipe := snapshot.NewPipeline(eng, handle, cfg)
+	handle.Publish(snapshot.Build(eng, snapshot.BuildOptions{RenderSVG: cfg.RenderSVG}))
+	pipe.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		pipe.Stop(ctx)
+	})
+	return New(handle, func() *snapshot.Pipeline { return pipe }), eng
 }
 
 func TestPatternsEndpoint(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/midas-graph/midas/internal/snapshot"
 )
 
 // TestRetryAfterSeconds pins the Retry-After arithmetic: depth-scaled
@@ -47,27 +49,23 @@ func TestRetryAfterDynamic(t *testing.T) {
 	// Branch 1: no EWMA yet → fallback. The gate parks the in-flight
 	// batch so nothing ever completes, a second batch fills the
 	// size-one queue, and the third is shed with Retry-After = timeout.
-	s, _ := testServer(t)
-	s.SetRequestTimeout(7 * time.Second)
-	s.SetMaintainQueue(1)
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	s.SetMaintainGate(func(ctx context.Context) (func(), error) {
-		entered <- struct{}{}
-		select {
-		case <-release:
-			return func() {}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	s, _ := testServerWith(t, snapshot.Config{
+		QueueSize: 1,
+		Gate: func(ctx context.Context) (func(), error) {
+			entered <- struct{}{}
+			select {
+			case <-release:
+				return func() {}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
 	})
+	s.SetRequestTimeout(7 * time.Second)
 	h := s.Handler()
-	t.Cleanup(func() {
-		close(release)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Close(ctx)
-	})
+	t.Cleanup(func() { close(release) })
 
 	body := "t 0\nv 0 C\nv 1 N\ne 0 1\n"
 	post := func() *httptest.ResponseRecorder {
@@ -101,17 +99,12 @@ func TestRetryAfterDynamic(t *testing.T) {
 	s2, _ := testServer(t)
 	s2.SetRequestTimeout(7 * time.Second)
 	h2 := s2.Handler()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s2.Close(ctx)
-	})
 	rec = httptest.NewRecorder()
 	h2.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/maintain", strings.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sync maintain = %d: %s", rec.Code, rec.Body.String())
 	}
-	if ewma := s2.pipe.BatchEWMA(); ewma <= 0 {
+	if ewma := s2.Pipeline().BatchEWMA(); ewma <= 0 {
 		t.Fatalf("BatchEWMA = %v after a successful batch, want > 0", ewma)
 	}
 	if got := s2.retryAfter(); got != "1" {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/midas-graph/midas"
@@ -28,41 +27,36 @@ import (
 // one per line. Processed files are renamed with a ".done" suffix so a
 // restart does not replay them.
 //
-// With a Journal attached, each batch goes through the write-ahead
-// protocol (begin → apply → persist → applied → rename → done), giving
+// Every batch is applied through the maintenance pipeline (Pipe). With
+// a Journal attached, each batch goes through the write-ahead protocol
+// (begin → apply → persist → applied → rename → done), giving
 // exactly-once application across crashes: a batch journalled as
 // applied is never re-applied on restart, and one journalled as only
 // begun is safely re-applied because Maintain is transactional and the
 // persisted state bundle predates it.
 type Watcher struct {
-	Dir    string
-	Engine *midas.Engine
-	// Pipe, when set, routes each batch through the async maintenance
-	// pipeline instead of applying it inline: the journal Begin and the
-	// Persist hook run on the pipeline's single goroutine immediately
-	// around the apply, so journal append order equals apply order even
-	// when HTTP /maintain batches interleave with spool batches. The
-	// scan still blocks until the batch is terminal, preserving spool
-	// ordering; a batch the pipeline gave up on (its retry budget spent,
-	// or an unretryable rejection) is parked as *.failed immediately —
-	// the pipeline already retried, so the watcher's own budget is not
-	// re-spun on a lost cause. This is the serving-mode wiring (pass
-	// Server.Pipeline()).
+	Dir string
+	// Pipe is the maintenance pipeline every batch is submitted to. The
+	// journal Begin and the Persist hook run on the pipeline's single
+	// goroutine immediately around the apply, so journal append order
+	// equals apply order even when HTTP /maintain batches interleave
+	// with spool batches. The scan blocks until the batch is terminal,
+	// preserving spool ordering; a batch the pipeline gave up on (its
+	// retry budget spent, or an unretryable rejection) is parked as
+	// *.failed immediately — the pipeline already retried, so the
+	// watcher's own budget is not re-spun on a lost cause.
 	Pipe *snapshot.Pipeline
-	// Locker, when the engine is shared with other inline writers,
-	// serialises batch application with them. Library/standalone mode
-	// only; serving mode uses Pipe.
-	Locker sync.Locker
 	// OnBatch, if set, observes each applied batch's report.
 	OnBatch func(file string, rep midas.MaintenanceReport)
 	// Logf, if set, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...interface{})
 
 	// Journal, if set, records each batch's lifecycle durably for
-	// exactly-once recovery. Persist is then called after every
-	// successful Maintain (inline under Locker, or on the pipeline
-	// goroutine in Pipe mode) to save the state bundle; it receives the
-	// batch name and content checksum for the bundle metadata.
+	// exactly-once recovery. Persist, if set, runs on the pipeline
+	// goroutine after every successful Maintain, in the batch's After
+	// slot, before the pipeline owner saves the state bundle; it
+	// receives the batch name and content checksum for the bundle
+	// metadata.
 	Journal *store.Journal
 	Persist func(name string, sum uint32) error
 	// LastApplied/LastAppliedSum seed recovery from the state bundle's
@@ -260,46 +254,7 @@ func (w *Watcher) processBatch(name string) (bool, error) {
 		return false, nil
 	}
 
-	if w.Pipe != nil {
-		return w.processViaPipeline(name, path, string(data), sum)
-	}
-
-	if w.Locker != nil {
-		w.Locker.Lock()
-	}
-	u, err := w.parseBatch(path, string(data))
-	var rep midas.MaintenanceReport
-	if err == nil && w.Journal != nil {
-		err = w.Journal.Begin(name, sum)
-	}
-	if err == nil {
-		rep, err = w.Engine.Maintain(u)
-	}
-	if err == nil && w.Persist != nil {
-		err = w.Persist(name, sum)
-	}
-	if w.Locker != nil {
-		w.Locker.Unlock()
-	}
-	if err != nil {
-		return false, err
-	}
-	if w.Journal != nil {
-		if err := w.Journal.MarkApplied(name); err != nil {
-			return false, err
-		}
-	}
-	if err := w.finishBatch(name, path); err != nil {
-		return false, err
-	}
-	if w.Logf != nil {
-		w.Logf("applied %s: +%d/-%d graphs, major=%v, swaps=%d, pmt=%v",
-			name, len(u.Insert), len(u.Delete), rep.Major, rep.Swaps, rep.PMT)
-	}
-	if w.OnBatch != nil {
-		w.OnBatch(name, rep)
-	}
-	return true, nil
+	return w.apply(name, path, string(data), sum)
 }
 
 // alreadyApplied reports whether recovery evidence shows the named
@@ -340,14 +295,14 @@ func (w *Watcher) finishBatch(name, path string) error {
 	return nil
 }
 
-// processViaPipeline runs one spool batch through the async maintenance
-// pipeline: parse here, then journal begin → maintain → persist on the
-// pipeline goroutine (so the journal records batches in apply order),
-// then journal applied → rename → journal done back here once the
-// result arrives. Blocking on the result keeps spool ordering; the
-// pipeline owns the retry/backoff budget, so a terminal failure parks
-// the file immediately rather than re-spinning the watcher's budget.
-func (w *Watcher) processViaPipeline(name, path, data string, sum uint32) (bool, error) {
+// apply runs one spool batch through the maintenance pipeline: parse
+// here, then journal begin → maintain → persist on the pipeline
+// goroutine (so the journal records batches in apply order), then
+// journal applied → rename → journal done back here once the result
+// arrives. Blocking on the result keeps spool ordering; the pipeline
+// owns the retry/backoff budget, so a terminal failure parks the file
+// immediately rather than re-spinning the watcher's budget.
+func (w *Watcher) apply(name, path, data string, sum uint32) (bool, error) {
 	u, err := w.parseBatchShape(path, data)
 	if err != nil {
 		return false, err
@@ -397,7 +352,7 @@ func (w *Watcher) processViaPipeline(name, path, data string, sum uint32) (bool,
 		return false, err
 	}
 	if w.Logf != nil {
-		w.Logf("applied %s via pipeline (generation %d): +%d/-%d graphs, major=%v, swaps=%d, pmt=%v",
+		w.Logf("applied %s (generation %d): +%d/-%d graphs, major=%v, swaps=%d, pmt=%v",
 			name, res.Generation, len(u.Insert), len(u.Delete), res.Report.Major, res.Report.Swaps, res.Report.PMT)
 	}
 	if w.OnBatch != nil {
@@ -406,28 +361,9 @@ func (w *Watcher) processViaPipeline(name, path, data string, sum uint32) (bool,
 	return true, nil
 }
 
-// parseBatch parses one spool file into an update, shape-validates it,
-// and only then remaps colliding insert IDs — junk input is rejected
-// before any rewriting. Inline mode only: in Pipe mode the pipeline
-// remaps on its own goroutine, the one place the live database may be
-// read.
-func (w *Watcher) parseBatch(path, data string) (graph.Update, error) {
-	u, err := w.parseBatchShape(path, data)
-	if err != nil {
-		return u, err
-	}
-	next := w.Engine.DB().NextID()
-	for _, g := range u.Insert {
-		if w.Engine.DB().Has(g.ID) {
-			g.ID = next
-			next++
-		}
-	}
-	return u, nil
-}
-
 // parseBatchShape parses and shape-validates one spool file without
-// touching the engine.
+// touching the engine; the pipeline remaps colliding insert IDs on its
+// own goroutine, the one place the live database may be read.
 func (w *Watcher) parseBatchShape(path, data string) (graph.Update, error) {
 	var u graph.Update
 	if strings.HasSuffix(path, ".delete") {

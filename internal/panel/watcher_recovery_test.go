@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
 	"github.com/midas-graph/midas/internal/store"
@@ -13,16 +14,16 @@ import (
 
 // journalFixture is watcherFixture plus an open journal wired into the
 // watcher.
-func journalFixture(t *testing.T) (*Watcher, string, *store.Journal) {
+func journalFixture(t *testing.T) (*Watcher, *midas.Engine, string, *store.Journal) {
 	t.Helper()
-	w, _, dir := watcherFixture(t)
+	w, eng, dir := watcherFixture(t)
 	j, err := store.OpenJournal(filepath.Join(dir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
 	w.Journal = j
-	return w, dir, j
+	return w, eng, dir, j
 }
 
 func writeBatch(t *testing.T, dir, name string, graphs []*graph.Graph) ([]byte, uint32) {
@@ -35,7 +36,7 @@ func writeBatch(t *testing.T, dir, name string, graphs []*graph.Graph) ([]byte, 
 }
 
 func TestWatcherJournalHappyPath(t *testing.T) {
-	w, dir, j := journalFixture(t)
+	w, _, dir, j := journalFixture(t)
 	var persisted []string
 	w.Persist = func(name string, sum uint32) error {
 		persisted = append(persisted, name)
@@ -63,26 +64,26 @@ func TestWatcherJournalHappyPath(t *testing.T) {
 // journal says applied, the file is still pending. The restarted
 // watcher must rename without re-applying.
 func TestWatcherCrashAfterApplyIsExactlyOnce(t *testing.T) {
-	w, dir, j := journalFixture(t)
+	w, eng, dir, j := journalFixture(t)
 	ins := dataset.BoronicEsters().Generate(4, 2000, 9)
 	_, sum := writeBatch(t, dir, "c1.graphs", ins)
 
 	// First (crashing) run: apply the batch and journal through
 	// "applied", but crash before the rename.
-	u, err := w.parseBatch(filepath.Join(dir, "c1.graphs"), graph.Marshal(ins))
+	u, err := w.parseBatchShape(filepath.Join(dir, "c1.graphs"), graph.Marshal(ins))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Begin("c1.graphs", sum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Engine.Maintain(u); err != nil {
+	if _, err := eng.Maintain(u); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.MarkApplied("c1.graphs"); err != nil {
 		t.Fatal(err)
 	}
-	lenAfterApply := w.Engine.DB().Len()
+	lenAfterApply := eng.DB().Len()
 
 	// Restart: reopen the journal from disk, fresh watcher, same engine.
 	j.Close()
@@ -91,7 +92,7 @@ func TestWatcherCrashAfterApplyIsExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	w2 := &Watcher{Dir: dir, Engine: w.Engine, Journal: j2}
+	w2 := &Watcher{Dir: dir, Pipe: w.Pipe, Journal: j2}
 	n, err := w2.Scan()
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +100,8 @@ func TestWatcherCrashAfterApplyIsExactlyOnce(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("recovered batch counted as applied again: n = %d", n)
 	}
-	if w.Engine.DB().Len() != lenAfterApply {
-		t.Fatalf("batch re-applied: db len %d, want %d", w.Engine.DB().Len(), lenAfterApply)
+	if eng.DB().Len() != lenAfterApply {
+		t.Fatalf("batch re-applied: db len %d, want %d", eng.DB().Len(), lenAfterApply)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "c1.graphs.done")); err != nil {
 		t.Fatal("recovery did not finish the rename")
@@ -114,13 +115,13 @@ func TestWatcherCrashAfterApplyIsExactlyOnce(t *testing.T) {
 // window: a begin record without applied means the batch's effects are
 // not in the persisted state, so the restarted watcher applies it.
 func TestWatcherCrashBeforeApplyReplays(t *testing.T) {
-	w, dir, j := journalFixture(t)
+	w, eng, dir, j := journalFixture(t)
 	ins := dataset.BoronicEsters().Generate(4, 3000, 11)
 	_, sum := writeBatch(t, dir, "d1.graphs", ins)
 	if err := j.Begin("d1.graphs", sum); err != nil {
 		t.Fatal(err)
 	}
-	before := w.Engine.DB().Len()
+	before := eng.DB().Len()
 
 	j.Close()
 	j2, err := store.OpenJournal(filepath.Join(dir, "journal"))
@@ -128,7 +129,7 @@ func TestWatcherCrashBeforeApplyReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	w2 := &Watcher{Dir: dir, Engine: w.Engine, Journal: j2}
+	w2 := &Watcher{Dir: dir, Pipe: w.Pipe, Journal: j2}
 	n, err := w2.Scan()
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +137,8 @@ func TestWatcherCrashBeforeApplyReplays(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("begun-only batch not replayed: n = %d", n)
 	}
-	if w.Engine.DB().Len() != before+4 {
-		t.Fatalf("db len = %d, want %d", w.Engine.DB().Len(), before+4)
+	if eng.DB().Len() != before+4 {
+		t.Fatalf("db len = %d, want %d", eng.DB().Len(), before+4)
 	}
 }
 
@@ -145,27 +146,27 @@ func TestWatcherCrashBeforeApplyReplays(t *testing.T) {
 // state bundle (which records lastBatch) and journalling "applied": the
 // bundle metadata alone must prevent re-application.
 func TestWatcherBundleMetaClosesWindow(t *testing.T) {
-	w, _, dir := watcherFixture(t)
+	w, eng, dir := watcherFixture(t)
 	ins := dataset.BoronicEsters().Generate(3, 4000, 13)
 	_, sum := writeBatch(t, dir, "e1.graphs", ins)
-	u, err := w.parseBatch(filepath.Join(dir, "e1.graphs"), graph.Marshal(ins))
+	u, err := w.parseBatchShape(filepath.Join(dir, "e1.graphs"), graph.Marshal(ins))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Engine.Maintain(u); err != nil {
+	if _, err := eng.Maintain(u); err != nil {
 		t.Fatal(err)
 	}
-	lenAfterApply := w.Engine.DB().Len()
+	lenAfterApply := eng.DB().Len()
 
 	// Restart with the bundle's metadata but no journal record.
-	w2 := &Watcher{Dir: dir, Engine: w.Engine, LastApplied: "e1.graphs", LastAppliedSum: sum}
+	w2 := &Watcher{Dir: dir, Pipe: w.Pipe, LastApplied: "e1.graphs", LastAppliedSum: sum}
 	n, err := w2.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 || w.Engine.DB().Len() != lenAfterApply {
+	if n != 0 || eng.DB().Len() != lenAfterApply {
 		t.Fatalf("bundle-meta recovery re-applied: n=%d len=%d want %d",
-			n, w.Engine.DB().Len(), lenAfterApply)
+			n, eng.DB().Len(), lenAfterApply)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "e1.graphs.done")); err != nil {
 		t.Fatal("recovery did not finish the rename")
@@ -175,26 +176,26 @@ func TestWatcherBundleMetaClosesWindow(t *testing.T) {
 // TestWatcherChangedContentIsNewBatch: a same-named file with different
 // bytes must not be skipped by recovery — the checksum distinguishes it.
 func TestWatcherChangedContentIsNewBatch(t *testing.T) {
-	w, _, dir := watcherFixture(t)
+	w, eng, dir := watcherFixture(t)
 	writeBatch(t, dir, "f1.graphs", dataset.BoronicEsters().Generate(2, 5000, 17))
-	before := w.Engine.DB().Len()
+	before := eng.DB().Len()
 	w.LastApplied = "f1.graphs"
 	w.LastAppliedSum = 0xBAD // stale checksum from an earlier life
 	n, err := w.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || w.Engine.DB().Len() != before+2 {
-		t.Fatalf("changed-content batch skipped: n=%d len=%d", n, w.Engine.DB().Len())
+	if n != 1 || eng.DB().Len() != before+2 {
+		t.Fatalf("changed-content batch skipped: n=%d len=%d", n, eng.DB().Len())
 	}
 }
 
 func TestWatcherQuarantinesPoisonBatch(t *testing.T) {
-	w, _, dir := watcherFixture(t)
+	w, eng, dir := watcherFixture(t)
 	w.MaxRetries = 2
 	os.WriteFile(filepath.Join(dir, "aa-poison.graphs"), []byte("not a graph"), 0o644)
 	writeBatch(t, dir, "zz-good.graphs", dataset.BoronicEsters().Generate(2, 6000, 19))
-	before := w.Engine.DB().Len()
+	before := eng.DB().Len()
 
 	// First failure: scan errors, file stays (ordering preserved, the
 	// good batch behind it is blocked).
@@ -204,7 +205,7 @@ func TestWatcherQuarantinesPoisonBatch(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "aa-poison.graphs")); err != nil {
 		t.Fatal("poison file should remain after first failure")
 	}
-	if w.Engine.DB().Len() != before {
+	if eng.DB().Len() != before {
 		t.Fatal("blocked batch applied out of order")
 	}
 
@@ -220,8 +221,8 @@ func TestWatcherQuarantinesPoisonBatch(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "aa-poison.graphs.failed")); err != nil {
 		t.Fatal("poison file not renamed *.failed")
 	}
-	if w.Engine.DB().Len() != before+2 {
-		t.Fatalf("db len = %d, want %d", w.Engine.DB().Len(), before+2)
+	if eng.DB().Len() != before+2 {
+		t.Fatalf("db len = %d, want %d", eng.DB().Len(), before+2)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestRetryScheduleShape(t *testing.T) {
 // again, and get parked as *.failed with a .reason file — unblocking
 // the spool.
 func TestWatcherBackoffWindowAndParking(t *testing.T) {
-	w, _, dir := watcherFixture(t)
+	w, eng, dir := watcherFixture(t)
 	w.MaxRetries = 2
 	w.Backoff = time.Minute
 	clock := time.Unix(1700000000, 0)
@@ -63,7 +63,7 @@ func TestWatcherBackoffWindowAndParking(t *testing.T) {
 
 	os.WriteFile(filepath.Join(dir, "aa-poison.graphs"), []byte("not a graph"), 0o644)
 	writeBatch(t, dir, "zz-good.graphs", dataset.BoronicEsters().Generate(2, 6000, 19))
-	before := w.Engine.DB().Len()
+	before := eng.DB().Len()
 
 	// First failure starts the backoff window.
 	if _, err := w.Scan(); err == nil {
@@ -76,7 +76,7 @@ func TestWatcherBackoffWindowAndParking(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Fatalf("in-window scan = %d, %v; want 0, nil", n, err)
 	}
-	if w.Engine.DB().Len() != before {
+	if eng.DB().Len() != before {
 		t.Fatal("blocked batch applied out of order during backoff")
 	}
 	if got := w.retries["aa-poison.graphs"]; got != 1 {
@@ -89,8 +89,8 @@ func TestWatcherBackoffWindowAndParking(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-window scan: %v", err)
 	}
-	if n != 1 || w.Engine.DB().Len() != before+2 {
-		t.Fatalf("good batch not applied after parking: n=%d len=%d", n, w.Engine.DB().Len())
+	if n != 1 || eng.DB().Len() != before+2 {
+		t.Fatalf("good batch not applied after parking: n=%d len=%d", n, eng.DB().Len())
 	}
 	if _, err := os.Stat(filepath.Join(dir, "aa-poison.graphs.failed")); err != nil {
 		t.Fatal("poison batch not parked as *.failed")

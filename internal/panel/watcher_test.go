@@ -1,6 +1,7 @@
 package panel
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/snapshot"
 )
 
 func watcherFixture(t *testing.T) (*Watcher, *midas.Engine, string) {
@@ -23,7 +25,21 @@ func watcherFixture(t *testing.T) (*Watcher, *midas.Engine, string) {
 		Seed:    1,
 	})
 	dir := t.TempDir()
-	return &Watcher{Dir: dir, Engine: eng}, eng, dir
+	return &Watcher{Dir: dir, Pipe: startPipeline(t, eng)}, eng, dir
+}
+
+// startPipeline starts a maintenance pipeline over eng, stopped at
+// cleanup.
+func startPipeline(t *testing.T, eng *midas.Engine) *snapshot.Pipeline {
+	t.Helper()
+	pipe := snapshot.NewPipeline(eng, snapshot.NewHandle(), snapshot.Config{})
+	pipe.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		pipe.Stop(ctx)
+	})
+	return pipe
 }
 
 func TestWatcherAppliesInsertBatch(t *testing.T) {

@@ -509,8 +509,11 @@ func (n *Node) replaySuffix(eng *midas.Engine, log *store.RepLog, lsn, epoch uin
 }
 
 // buildPipeline constructs the node's maintenance pipeline over eng,
-// publishing through the node's one handle. The commit slot
-// (OnApplied) captures eng and log so a later swap cannot cross wires.
+// publishing through the node's one handle, and wires the engine and
+// pipeline telemetry. The commit slot (OnApplied) captures eng and log
+// so a later swap cannot cross wires. Registration is idempotent, so a
+// re-bootstrap's rebuild re-attaches to the same families; gauges read
+// through callbacks stay bound to the first pipeline.
 func (n *Node) buildPipeline(eng *midas.Engine, log *store.RepLog) *snapshot.Pipeline {
 	cfg := snapshot.Config{
 		QueueSize:   n.cfg.QueueSize,
@@ -536,7 +539,12 @@ func (n *Node) buildPipeline(eng *midas.Engine, log *store.RepLog) *snapshot.Pip
 			return n.commitPrimary(eng, log, b)
 		},
 	}
-	return snapshot.NewPipeline(eng, n.handle, cfg)
+	pipe := snapshot.NewPipeline(eng, n.handle, cfg)
+	if reg := n.cfg.Telemetry; reg != nil {
+		eng.SetTelemetry(reg)
+		pipe.SetTelemetry(reg)
+	}
+	return pipe
 }
 
 // commitPrimary is the primary's commit slot, on the pipeline
@@ -570,8 +578,11 @@ func (n *Node) commitPrimary(eng *midas.Engine, log *store.RepLog, b snapshot.Ba
 
 // saveBundle persists the engine state with the replication position
 // in the bundle metadata, through the generational scheme (tmp
-// roll-forward, prev rollback).
+// roll-forward, prev rollback), timed into midas_state_save_seconds.
 func (n *Node) saveBundle(eng *midas.Engine, lsn, epoch uint64) error {
+	if n.tel != nil {
+		defer n.tel.saveSeconds.Start().End()
+	}
 	return store.SaveBundle(n.fsys, n.bundlePath, func(w io.Writer) error {
 		return midas.SaveStateMeta(w, eng, positionMeta(lsn, epoch))
 	})

@@ -15,7 +15,7 @@ import (
 // X-Midas-Replication-Lag, and /readyz details the journal LSN,
 // last-publish generation, role and lag.
 func (n *Node) Panel() *panel.Server {
-	srv := panel.NewReplicated(n.cfg.Options, n.Handle(), n.Pipeline)
+	srv := panel.New(n.Handle(), n.Pipeline)
 	srv.SetReplicaInfo(&panel.ReplicaInfo{
 		Role:    func() string { return n.Role().String() },
 		LSN:     n.LastLSN,

@@ -29,8 +29,6 @@ func diskOptions(root string) Options {
 		Retries:       2,
 		Backoff:       time.Millisecond,
 		Checkpoint:    1, // compact eagerly so the test sees checkpointing work
-		Save:          true,
-		Watch:         true,
 		WatchInterval: 10 * time.Millisecond,
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/midas-graph/midas"
+	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/telemetry"
 )
 
@@ -27,9 +30,12 @@ var (
 
 // Options configures a Registry: the process-wide defaults every shard
 // starts from. The zero value is usable for in-memory serving when a
-// NewEngine hook is set.
+// NewEngine hook is set. OpenShard takes the same struct as one
+// shard's final settings.
 type Options struct {
-	// Root is the tenants directory; each shard lives in Root/<id>.
+	// Root is the tenants directory. When set, each shard lives on disk
+	// in Root/<id>/{state,journal,spool} (plus an optional db.graphs to
+	// bootstrap from); when empty, shards live in memory.
 	Root string
 	// Engine is the default engine configuration; manifest overrides
 	// refine it per tenant.
@@ -48,13 +54,8 @@ type Options struct {
 	// Checkpoint is the per-shard journal compaction threshold in
 	// bytes (0 disables).
 	Checkpoint int64
-	// Watch starts a spool watcher per shard on Root/<id>/spool.
-	Watch bool
 	// WatchInterval is the spool polling interval.
 	WatchInterval time.Duration
-	// Save persists each shard's state bundle to Root/<id>/state and
-	// journals batches to Root/<id>/journal.
-	Save bool
 	// Budget, when set, is the shared maintenance-worker budget every
 	// shard's pipeline gate acquires from.
 	Budget *Budget
@@ -67,10 +68,61 @@ type Options struct {
 	// tenant space: Add refuses tenants whose ring slot differs.
 	Placement *Placement
 	Slot      int
-	// NewEngine, when set, replaces disk bootstrap (tests and bench
-	// build engines in memory). It returns the engine and whether it
-	// starts degraded.
+	// NewEngine, when set, builds the engine of a shard with no bundle
+	// to restore and no database to bootstrap (tests and bench build
+	// engines in memory). It returns the engine and whether it starts
+	// degraded. Registry.Add defaults it to an empty database: a new
+	// tenant starts as an empty panel its spool or POST /maintain
+	// populates.
 	NewEngine func(id string, opts midas.Options) (*midas.Engine, bool, error)
+}
+
+// shardOptions merges a tenant's overrides over the process defaults,
+// scopes telemetry to the tenant's label view, and defaults NewEngine
+// to an empty database.
+func (r *Registry) shardOptions(id string, ov Overrides) Options {
+	o := r.opts
+	o.Engine = o.engineOptions(ov)
+	o.MaxInflight = intOr(ov.MaxInflight, o.MaxInflight)
+	o.QueueSize = intOr(ov.QueueSize, o.QueueSize)
+	if o.Telemetry != nil {
+		o.Telemetry = o.Telemetry.WithLabels("tenant", id)
+	}
+	if o.NewEngine == nil {
+		o.NewEngine = func(_ string, opts midas.Options) (*midas.Engine, bool, error) {
+			return midas.New(graph.NewDatabase(), opts), false, nil
+		}
+	}
+	return o
+}
+
+// paths lays a tenant out under Root/<id>, creating its state, journal
+// and spool directories; <id>/db.graphs seeds a first start when
+// present. Without Root the shard lives in memory.
+func (r *Registry) paths(id string) (Paths, error) {
+	if r.opts.Root == "" {
+		return Paths{}, nil
+	}
+	dir := filepath.Join(r.opts.Root, id)
+	for _, sub := range []string{"state", "journal", "spool"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return Paths{}, fmt.Errorf("tenant %s: %w", id, err)
+		}
+	}
+	bundle := filepath.Join(dir, "state", "panel.state")
+	p := Paths{
+		Restore: bundle,
+		Save:    bundle,
+		Journal: filepath.Join(dir, "journal", "batch.journal"),
+		Spool:   filepath.Join(dir, "spool"),
+	}
+	// Any stat error but absence leaves DB set, so opening it reports
+	// the error.
+	db := filepath.Join(dir, "db.graphs")
+	if _, err := os.Stat(db); !errors.Is(err, os.ErrNotExist) {
+		p.DB = db
+	}
+	return p, nil
 }
 
 // engineOptions merges a tenant's overrides over the process defaults.
@@ -225,7 +277,11 @@ func (r *Registry) Add(id string, ov Overrides) (*Shard, error) {
 	r.reserved[id] = true
 	r.mu.Unlock()
 
-	sh, err := newShard(id, &r.opts, ov)
+	p, err := r.paths(id)
+	var sh *Shard
+	if err == nil {
+		sh, err = OpenShard(id, p, r.shardOptions(id, ov))
+	}
 
 	r.mu.Lock()
 	delete(r.reserved, id)

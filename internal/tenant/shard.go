@@ -1,10 +1,11 @@
-// Package tenant multiplexes many dataset panels inside one serving
-// process — the multi-GUI deployment the paper motivates (one canned
-// pattern set per dataset: PubChem, eMolecules, AIDS, ...). Each
-// tenant is a Shard owning a full single-tenant serving stack (engine,
-// snapshot handle + maintenance pipeline, journal, save bundle, spool
-// watcher) rooted under its own directory; a Registry keys shards by
-// dataset ID and a Router resolves /t/{tenant}/... to them. Isolation
+// Package tenant runs MIDAS serving stacks. A Shard is the one
+// single-node stack (engine, snapshot handle + maintenance pipeline,
+// panel server, save bundle, journal, spool watcher), opened from
+// explicit paths by OpenShard; single-tenant midas-serve runs one
+// directly. For the multi-GUI deployment the paper motivates (one
+// canned pattern set per dataset: PubChem, eMolecules, AIDS, ...), a
+// Registry keys shards by dataset ID, each rooted under its own
+// directory, and a Router resolves /t/{tenant}/... to them. Isolation
 // is the design center: shards share nothing but the process-wide
 // worker Budget and the telemetry registry (through per-tenant label
 // views), so one tenant's major batch, poisoned spool file or crash
@@ -19,7 +20,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,42 +27,70 @@ import (
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/panel"
+	"github.com/midas-graph/midas/internal/snapshot"
 	"github.com/midas-graph/midas/internal/store"
+	"github.com/midas-graph/midas/internal/telemetry"
 	"github.com/midas-graph/midas/internal/vfs"
 )
 
 // Bundle metadata keys tying a shard's saved state to its spool
-// journal — the same keys midas-serve uses, so a single-tenant state
-// directory can be adopted as a tenant directory unchanged.
+// journal. Every layout writes the same keys, so a single-tenant state
+// bundle can be adopted as a tenant bundle unchanged.
 const (
 	metaLastBatch    = "lastBatch"
 	metaLastBatchSum = "lastBatchSum"
 )
 
-// Shard is one tenant's complete serving stack. All fields are wired
-// at construction and immutable afterwards; lifecycle state (draining)
-// is atomic. Shards are created through Registry.Add.
+// Paths locates a shard's durable state. An empty path turns that
+// feature off; a shard with no paths lives in memory. Registry.Add
+// derives them from <root>/<id>/...; single-tenant midas-serve from its
+// -state/-save/-journal/-watch/-db flags.
+type Paths struct {
+	// Restore is the state bundle restored at open, salvaging an
+	// interrupted save.
+	Restore string
+	// Save is where the state bundle is written after every applied
+	// batch (before its generation publishes) and at drain.
+	Save string
+	// Journal is the spool watcher's write-ahead journal, giving spool
+	// batches exactly-once application across crashes. It belongs to
+	// the watcher: set it only with Spool and Save.
+	Journal string
+	// Spool is the directory whose *.graphs / *.delete batch files the
+	// watcher applies.
+	Spool string
+	// DB is the database (text format) bootstrapped when no bundle
+	// restores.
+	DB string
+}
+
+// Shard is one complete single-node serving stack: engine, snapshot
+// handle and maintenance pipeline, panel server, save bundle, journal
+// and spool watcher. All fields are wired at open and immutable
+// afterwards; lifecycle state (draining) is atomic. Tenants get theirs
+// through Registry.Add; single-tenant midas-serve opens one directly.
 type Shard struct {
-	// ID is the tenant/dataset identifier (ValidateID-clean).
+	// ID is the tenant/dataset identifier (ValidateID-clean), or ""
+	// for the single-tenant shard.
 	ID string
-	// Dir is the shard's root: <tenants-dir>/<id>/{state,journal,spool}.
-	// Empty for purely in-memory shards (NewEngine hook, no Save/Watch).
-	Dir string
 
 	engine   *midas.Engine
+	handle   *snapshot.Handle
+	pipe     *snapshot.Pipeline
 	server   *panel.Server
 	handler  http.Handler
 	journal  *store.Journal
 	opts     midas.Options
 	degraded bool
+	logger   *telemetry.Logger
 
-	savePath string
-	metaMu   sync.Mutex
-	lastMeta map[string]string
+	savePath    string
+	saveSeconds *telemetry.Histogram
+	metaMu      sync.Mutex
+	lastMeta    map[string]string
 
 	stopWatch chan struct{}
 	watchWG   sync.WaitGroup
-	watching  bool
 
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -102,191 +130,227 @@ func stateRank(state string) int {
 	return 0
 }
 
-// newShard cold-starts one tenant: restores or bootstraps its engine,
-// wires the panel server, journal, save bundle and spool watcher, and
-// publishes the bootstrap snapshot. It does all disk work before the
-// Registry links the shard in, so a failed cold start leaves no
-// half-built tenant behind.
-func newShard(id string, o *Options, ov Overrides) (*Shard, error) {
-	opts := o.engineOptions(ov)
-	sh := &Shard{ID: id, opts: opts, lastMeta: map[string]string{}}
-	if o.Root != "" {
-		sh.Dir = filepath.Join(o.Root, id)
+// OpenShard builds one serving stack and starts it: it restores the
+// engine from p.Restore or bootstraps it, publishes the first
+// snapshot, starts the maintenance pipeline and, with p.Spool, the
+// spool watcher. o holds the shard's final settings (Registry.Add
+// merges a tenant's overrides first); its Root, Placement and Slot are
+// registry concerns and ignored here. The engine comes from the first
+// source that applies:
+//
+//   - a valid bundle at p.Restore;
+//   - the database at p.DB;
+//   - the o.NewEngine hook;
+//   - an empty database, degraded, when p.Restore held only corruption.
+//
+// Anything else is an error — an absent bundle with no database to
+// bootstrap is a misconfiguration, not an empty panel. All disk work
+// happens before any goroutine starts, so a failed open leaves nothing
+// running.
+func OpenShard(id string, p Paths, o Options) (*Shard, error) {
+	sh := &Shard{ID: id, opts: o.Engine, logger: o.Logger, savePath: p.Save, lastMeta: map[string]string{}}
+	meta, err := sh.openEngine(p, &o)
+	if err != nil {
+		return nil, sh.wrap(err)
 	}
-
-	// Engine: the NewEngine hook (tests, bench) bypasses disk entirely;
-	// otherwise restore the state bundle, bootstrap from db.graphs, or
-	// start empty — a tenant added at runtime begins as an empty panel
-	// its spool or POST /maintain populates.
-	var meta map[string]string
-	switch {
-	case o.NewEngine != nil:
-		eng, degraded, err := o.NewEngine(id, opts)
+	for k, v := range meta {
+		sh.lastMeta[k] = v
+	}
+	if p.Journal != "" {
+		j, err := store.OpenJournal(p.Journal)
 		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", id, err)
+			return nil, sh.wrap(err)
 		}
-		sh.engine, sh.degraded = eng, degraded
-	default:
-		if sh.Dir == "" {
-			return nil, fmt.Errorf("tenant %s: no root directory and no NewEngine hook", id)
+		if s := j.Salvage(); s.TailBytes > 0 {
+			sh.logger.Warnf(sh.prefix("journal salvage: %d torn byte(s) quarantined to %s"), s.TailBytes, s.QuarantinePath)
 		}
-		for _, sub := range []string{"state", "journal", "spool"} {
-			if err := os.MkdirAll(filepath.Join(sh.Dir, sub), 0o755); err != nil {
-				return nil, fmt.Errorf("tenant %s: %w", id, err)
-			}
-		}
-		var err error
-		meta, err = sh.bootstrapEngine(o)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	srv := panel.New(sh.engine, opts)
-	sh.server = srv
-	if o.Logger != nil {
-		srv.SetLogger(o.Logger)
-	}
-	srv.SetRequestTimeout(o.RequestTimeout)
-	srv.SetMaxInflight(intOr(ov.MaxInflight, o.MaxInflight))
-	srv.SetMaintainQueue(intOr(ov.QueueSize, o.QueueSize))
-	srv.SetMaintainRetry(o.Backoff, o.Retries)
-	srv.SetDegraded(sh.degraded)
-	if o.Telemetry != nil {
-		reg := o.Telemetry.WithLabels("tenant", id)
-		srv.SetTelemetry(reg)
-		sh.engine.SetTelemetry(reg)
-	}
-	if o.Budget != nil {
-		weight := opts.Workers
-		budget := o.Budget
-		srv.SetMaintainGate(func(ctx context.Context) (func(), error) {
-			return budget.Acquire(ctx, weight)
-		})
-	}
-
-	if o.Save && sh.Dir != "" {
-		sh.savePath = filepath.Join(sh.Dir, "state", "panel.state")
-		for k, v := range meta {
-			sh.lastMeta[k] = v
-		}
-		srv.SetPostMaintain(func(midas.MaintenanceReport) error { return sh.saveBundle() })
-
-		jp := filepath.Join(sh.Dir, "journal", "batch.journal")
-		journal, err := store.OpenJournal(jp)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", id, err)
-		}
-		if s := journal.Salvage(); s.TailBytes > 0 {
-			o.logf("tenant %s: journal salvage: %d torn byte(s) quarantined to %s", id, s.TailBytes, s.QuarantinePath)
-		}
-		journal.SetCheckpointThreshold(o.Checkpoint)
-		sh.journal = journal
-		srv.SetJournal(journal)
+		j.SetCheckpointThreshold(o.Checkpoint)
+		sh.journal = j
+		// Compact the journal once it outgrows the threshold, after
+		// every successful maintenance.
 		sh.engine.SetAfterMaintain(func(midas.MaintenanceReport) {
-			if ran, err := journal.MaybeCheckpoint(); err != nil {
-				o.logf("tenant %s: journal checkpoint: %v", id, err)
+			if ran, err := j.MaybeCheckpoint(); err != nil {
+				sh.logger.Errorf(sh.prefix("journal checkpoint: %v"), err)
 			} else if ran {
-				o.logf("tenant %s: journal compacted to %d bytes", id, journal.Size())
+				sh.logger.Infof(sh.prefix("journal compacted to %d bytes"), j.Size())
 			}
 		})
 	}
+
+	renderSVG := func(g *graph.Graph) string { return panel.SVG(g, 120) }
+	cfg := snapshot.Config{
+		QueueSize:   o.QueueSize,
+		MaxAttempts: o.Retries,
+		Backoff:     o.Backoff,
+		RenderSVG:   renderSVG,
+		// A degraded start is stamped into every published snapshot, so
+		// clients see X-Midas-Degraded until an operator intervenes.
+		Degraded: sh.degraded,
+		Logf: func(format string, args ...interface{}) {
+			sh.logger.Warnf(sh.prefix(format), args...)
+		},
+	}
+	if b := o.Budget; b != nil {
+		weight := sh.opts.Workers
+		cfg.Gate = func(ctx context.Context) (func(), error) { return b.Acquire(ctx, weight) }
+	}
+	if sh.savePath != "" {
+		// Durability: the bundle lands before the batch's generation
+		// publishes and before an HTTP client sees its 200.
+		cfg.OnApplied = func(snapshot.Batch, midas.MaintenanceReport) error { return sh.saveBundle() }
+	}
+	sh.handle = snapshot.NewHandle()
+	sh.pipe = snapshot.NewPipeline(sh.engine, sh.handle, cfg)
+	sh.server = panel.New(sh.handle, func() *snapshot.Pipeline { return sh.pipe })
+	sh.server.SetLogger(o.Logger)
+	sh.server.SetRequestTimeout(o.RequestTimeout)
+	sh.server.SetMaxInflight(o.MaxInflight)
+	if reg := o.Telemetry; reg != nil {
+		sh.server.SetTelemetry(reg)
+		sh.engine.SetTelemetry(reg)
+		sh.pipe.SetTelemetry(reg)
+		sh.saveSeconds = reg.NewHistogram("midas_state_save_seconds",
+			"Wall-clock seconds per state-bundle save.", nil)
+		reg.NewGaugeFunc("midas_serve_degraded",
+			"1 while the panel runs on a salvaged or empty state after losing bundle generations.",
+			func() float64 {
+				if sh.degraded {
+					return 1
+				}
+				return 0
+			})
+	}
+	sh.handle.Publish(snapshot.Build(sh.engine, snapshot.BuildOptions{RenderSVG: renderSVG, Degraded: sh.degraded}))
+	sh.pipe.Start()
+	// Built once here so Router dispatch stays allocation-free.
+	sh.handler = sh.server.Handler()
 
 	sh.stopWatch = make(chan struct{})
-	if o.Watch && sh.Dir != "" {
+	if p.Spool != "" {
 		w := &panel.Watcher{
-			Dir:        filepath.Join(sh.Dir, "spool"),
-			Engine:     sh.engine,
-			Pipe:       srv.Pipeline(),
+			Dir:        p.Spool,
+			Pipe:       sh.pipe,
 			Journal:    sh.journal,
 			MaxRetries: o.Retries,
 			Backoff:    o.Backoff,
 			Logf: func(format string, args ...interface{}) {
-				o.logf("tenant "+id+": "+format, args...)
+				sh.logger.Infof(sh.prefix(format), args...)
 			},
-		}
-		if sh.journal != nil {
-			w.Persist = func(name string, sum uint32) error {
+			// Record the batch in the bundle metadata the OnApplied save
+			// writes next.
+			Persist: func(name string, sum uint32) error {
 				sh.metaMu.Lock()
 				sh.lastMeta[metaLastBatch] = name
 				sh.lastMeta[metaLastBatchSum] = fmt.Sprintf("%08x", sum)
 				sh.metaMu.Unlock()
-				return sh.saveBundle()
-			}
+				return nil
+			},
 			// Seed crash recovery from the restored bundle's metadata.
-			w.LastApplied = meta[metaLastBatch]
-			if s, err := strconv.ParseUint(meta[metaLastBatchSum], 16, 32); err == nil {
-				w.LastAppliedSum = uint32(s)
-			}
+			LastApplied: meta[metaLastBatch],
 		}
-		sh.watching = true
+		if s, err := strconv.ParseUint(meta[metaLastBatchSum], 16, 32); err == nil {
+			w.LastAppliedSum = uint32(s)
+		}
 		sh.watchWG.Add(1)
 		go func() {
 			defer sh.watchWG.Done()
 			w.Run(o.WatchInterval, sh.stopWatch)
 		}()
+		sh.logger.Infof(sh.prefix("watching %s every %v"), p.Spool, o.WatchInterval)
 	}
-
-	// Finalise the handler now: the first Handler() call publishes the
-	// bootstrap snapshot and starts the maintenance goroutine, and
-	// doing it here keeps Router dispatch allocation-free.
-	sh.handler = srv.Handler()
 	return sh, nil
 }
 
-// bootstrapEngine restores the shard's state bundle (salvaging an
-// interrupted save), falls back to <dir>/db.graphs, and otherwise
-// starts an empty panel. Only unrecoverable corruption marks the
-// shard degraded — an absent bundle on a new tenant is the normal
-// cold start.
-func (sh *Shard) bootstrapEngine(o *Options) (map[string]string, error) {
-	statePath := filepath.Join(sh.Dir, "state", "panel.state")
-	data, rep, err := store.LoadBundle(vfs.OS, statePath, midas.VerifyState)
-	for _, q := range rep.Quarantined {
-		o.logf("tenant %s: state salvage: quarantined %s", sh.ID, q)
-	}
-	sh.degraded = rep.Degraded()
-	var meta map[string]string
-	if err == nil {
-		var eng *midas.Engine
-		eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers)
+// openEngine sets the shard's engine from the first source OpenShard
+// lists and returns the restored bundle's metadata. Only unrecoverable
+// corruption marks the shard degraded.
+func (sh *Shard) openEngine(p Paths, o *Options) (map[string]string, error) {
+	var err error
+	if p.Restore != "" {
+		var data []byte
+		var rep store.SalvageReport
+		data, rep, err = store.LoadBundle(vfs.OS, p.Restore, midas.VerifyState)
+		for _, q := range rep.Quarantined {
+			sh.logger.Warnf(sh.prefix("state salvage: quarantined %s"), q)
+		}
+		if rep.RolledForward {
+			sh.logger.Warnf(sh.prefix("state salvage: rolled %s forward to its completed in-flight save"), p.Restore)
+		}
+		if rep.RolledBack {
+			sh.logger.Warnf(sh.prefix("state salvage: rolled %s back to its previous generation"), p.Restore)
+		}
+		sh.degraded = rep.Degraded()
 		if err == nil {
-			sh.engine = eng
-			return meta, nil
+			// Engine options come from the bundle header; only the
+			// wall-clock knob comes from the caller.
+			var meta map[string]string
+			if sh.engine, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers); err == nil {
+				sh.logger.Infof(sh.prefix("restored state: %d graphs, %d patterns"), sh.engine.DB().Len(), len(sh.engine.Patterns()))
+				return meta, nil
+			}
+		}
+		switch {
+		case errors.Is(err, store.ErrCorrupt):
+			sh.logger.Errorf(sh.prefix("state bundle unrecoverable, starting degraded: %v"), err)
+			sh.degraded = true
+		case errors.Is(err, os.ErrNotExist):
+			sh.logger.Infof(sh.prefix("no state bundle at %s yet"), p.Restore)
+		default:
+			return nil, err
 		}
 	}
 	switch {
-	case errors.Is(err, store.ErrCorrupt):
-		o.logf("tenant %s: state bundle unrecoverable, starting degraded: %v", sh.ID, err)
-		sh.degraded = true
-	case errors.Is(err, os.ErrNotExist):
+	case p.DB != "":
+		db, err := graph.ReadDatabaseFile(p.DB)
+		if err != nil {
+			return nil, err
+		}
+		sh.logger.Infof(sh.prefix("bootstrapping over %d graphs..."), db.Len())
+		sh.engine = midas.New(db, sh.opts)
+		sh.logger.Infof(sh.prefix("selected %d patterns in %v"), len(sh.engine.Patterns()), sh.engine.BootstrapTime())
+	case o.NewEngine != nil:
+		eng, degraded, err := o.NewEngine(sh.ID, sh.opts)
+		if err != nil {
+			return nil, err
+		}
+		sh.engine, sh.degraded = eng, sh.degraded || degraded
+	case sh.degraded:
+		// Every generation of the bundle was corrupt and there is
+		// nothing to rebuild from. Serve an empty panel instead of
+		// crash-looping: the spool or POST /maintain can repopulate it,
+		// and the quarantined *.corrupt files hold the damage.
+		sh.logger.Warnf(sh.prefix("starting degraded with an empty database"))
+		sh.engine = midas.New(graph.NewDatabase(), sh.opts)
+	case err != nil:
+		return nil, err
 	default:
-		return nil, fmt.Errorf("tenant %s: %w", sh.ID, err)
+		return nil, errors.New("no state bundle, database or engine hook to start from")
 	}
-
-	db := graph.NewDatabase()
-	dbPath := filepath.Join(sh.Dir, "db.graphs")
-	if f, ferr := os.Open(dbPath); ferr == nil {
-		graphs, rerr := graph.Read(f)
-		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("tenant %s: reading %s: %w", sh.ID, dbPath, rerr)
-		}
-		for _, g := range graphs {
-			if aerr := db.Add(g); aerr != nil {
-				return nil, fmt.Errorf("tenant %s: %w", sh.ID, aerr)
-			}
-		}
-	} else if !errors.Is(ferr, os.ErrNotExist) {
-		return nil, fmt.Errorf("tenant %s: %w", sh.ID, ferr)
-	}
-	sh.engine = midas.New(db, sh.opts)
 	return nil, nil
 }
 
+// prefix names the tenant in a log format; the single-tenant shard
+// logs unprefixed.
+func (sh *Shard) prefix(format string) string {
+	if sh.ID == "" {
+		return format
+	}
+	return "tenant " + sh.ID + ": " + format
+}
+
+// wrap names the tenant in an error.
+func (sh *Shard) wrap(err error) error {
+	if sh.ID == "" {
+		return err
+	}
+	return fmt.Errorf("tenant %s: %w", sh.ID, err)
+}
+
 // saveBundle persists the shard's engine state generationally,
-// carrying the journal reconciliation metadata forward.
+// carrying the journal reconciliation metadata forward, timed into
+// midas_state_save_seconds.
 func (sh *Shard) saveBundle() error {
+	defer sh.saveSeconds.Start().End()
 	sh.metaMu.Lock()
 	m := make(map[string]string, len(sh.lastMeta))
 	for k, v := range sh.lastMeta {
@@ -298,8 +362,8 @@ func (sh *Shard) saveBundle() error {
 	})
 }
 
-// Handler returns the shard's HTTP handler (the full single-tenant
-// route table, middleware included).
+// Handler returns the shard's HTTP handler (the full panel route
+// table, middleware included).
 func (sh *Shard) Handler() http.Handler { return sh.handler }
 
 // Server exposes the shard's panel server (tests, bench).
@@ -311,8 +375,7 @@ func (sh *Shard) Engine() *midas.Engine { return sh.engine }
 
 // Status reports the shard's health for /readyz and the admin API.
 func (sh *Shard) Status() Status {
-	h := sh.server.Handle()
-	pipe := sh.server.Pipeline()
+	h, pipe := sh.handle, sh.pipe
 	st := Status{
 		ID:               sh.ID,
 		Generation:       h.Generation(),
@@ -349,14 +412,15 @@ func (sh *Shard) Draining() bool { return sh.draining.Load() }
 // journal is checkpointed and closed, and the state bundle is saved
 // so the final generation survives. Idempotent; later calls return
 // the first outcome. After Drain the shard serves nothing — the
-// Registry detaches it before draining.
+// Registry detaches it before draining; midas-serve stops its
+// listener first.
 func (sh *Shard) Drain(ctx context.Context) error {
 	sh.drainOnce.Do(func() {
 		sh.draining.Store(true)
 		sh.server.SetReady(false)
 		close(sh.stopWatch)
 		sh.watchWG.Wait()
-		if err := sh.server.Close(ctx); err != nil {
+		if err := sh.pipe.Stop(ctx); err != nil {
 			sh.drainErr = fmt.Errorf("tenant %s: pipeline drain: %w", sh.ID, err)
 		}
 		if sh.journal != nil {

@@ -485,16 +485,15 @@ func TestSharedBudgetSerializesMaintenance(t *testing.T) {
 	shB := addTenant(t, r, "emol")
 
 	var inFlight, maxInFlight atomic.Int64
-	hook := func(midas.MaintenanceReport) error {
+	hook := func(midas.MaintenanceReport) {
 		if v := inFlight.Add(1); v > maxInFlight.Load() {
 			maxInFlight.Store(v)
 		}
 		time.Sleep(5 * time.Millisecond)
 		inFlight.Add(-1)
-		return nil
 	}
-	shA.Server().SetPostMaintain(hook)
-	shB.Server().SetPostMaintain(hook)
+	shA.Engine().SetAfterMaintain(hook)
+	shB.Engine().SetAfterMaintain(hook)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -514,7 +513,7 @@ func TestSharedBudgetSerializesMaintenance(t *testing.T) {
 	}
 	wg.Wait()
 	if got := maxInFlight.Load(); got != 1 {
-		t.Fatalf("max concurrent post-maintain hooks = %d, want 1 under a 1-worker budget", got)
+		t.Fatalf("max concurrent after-maintain hooks = %d, want 1 under a 1-worker budget", got)
 	}
 }
 
