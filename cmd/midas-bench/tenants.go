@@ -72,6 +72,7 @@ func runTenantsBench(s experiments.Scale, scaleName, outPath string, n, readers 
 			SampleSize:     s.SampleSize,
 			ClusterMaxSize: s.ClusterMaxSize,
 			Seed:           s.Seed,
+			Workers:        budget.Capacity(),
 		},
 		Budget: budget,
 		NewEngine: func(id string, opts midas.Options) (*midas.Engine, bool, error) {

@@ -109,7 +109,7 @@ func main() {
 		checkpoint = flag.Int64("checkpoint", 1<<20, "journal size in bytes above which it is compacted after a successful maintenance (0 disables)")
 		inflight   = flag.Int("max-inflight", 0, "maximum concurrent engine-bound requests; excess requests get an immediate 503 with Retry-After (0 disables shedding)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: leaks process internals)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "maintenance kernel fan-out width (0 = sequential reference path); results are identical at every setting")
+		workers    = flag.Int("workers", max(1, runtime.GOMAXPROCS(0)-1), "maintenance kernel fan-out width (0 = sequential reference path); the default leaves reads one core; results are identical at every setting")
 
 		replicaDir    = flag.String("replica-dir", "", "replication mode: node state directory (state bundle + replication log); serves /replica/* and journals every committed batch")
 		replicateFrom = flag.String("replicate-from", "", "start as a warm-standby follower of this primary base URL (requires -replica-dir); reads serve locally, writes are fenced with 503 + X-Midas-Primary")

@@ -211,6 +211,10 @@ type Engine struct {
 	// as journal checkpointing.
 	afterMaintain func(Report)
 
+	// bootstrap is the breakdown of BootstrapTime: the stages the
+	// constructor ran, in order.
+	bootstrap []StageTiming
+
 	// LastReport is the report of the most recent Maintain call.
 	LastReport Report
 	// BootstrapTime is the time spent building the initial state.
@@ -241,18 +245,18 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 	cfg.UseClosedFeatures = true
 	cfg.UseIndices = true
 	cfg.Cluster.Workers = cfg.Workers
-	start := time.Now()
 	e := &Engine{cfg: cfg, db: db, sigma: 0.25}
+	clock := newStageClock()
 	e.set = tree.Mine(db, cfg.SupMin, cfg.MaxTreeEdges)
+	clock.lap("mine")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	e.cl = e.buildClustering(rng)
+	clock.lap("cluster")
 	e.csgs = csg.NewManager(0)
 	e.csgs.SetMemo(cfg.Workers >= 1)
 	e.csgs.BuildAll(e.cl)
+	clock.lap("csg")
 	e.ix = index.Build(e.set, db, nil)
-	e.counter = graphlet.NewCounter(db)
-	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
-	e.metrics.Memo = cfg.Workers >= 1
 	e.patterns = append([]*graph.Graph(nil), patterns...)
 	for _, p := range e.patterns {
 		if p.ID >= e.nextPatternID {
@@ -260,26 +264,38 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 		}
 		e.ix.RegisterPattern(p)
 	}
-	e.BootstrapTime = time.Since(start)
+	clock.lap("index")
+	e.counter = graphlet.NewCounter(db)
+	clock.lap("graphlet")
+	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
+	e.metrics.Memo = cfg.Workers >= 1
+	clock.lap("metrics")
+	e.bootstrap, e.BootstrapTime = clock.stages, clock.total()
 	return e
 }
 
 func newEngine(db *graph.Database, cfg Config) *Engine {
 	cfg.Cluster.Workers = cfg.Workers
-	start := time.Now()
 	e := &Engine{cfg: cfg, db: db, sigma: 0.25}
+	clock := newStageClock()
 	e.set = tree.Mine(db, cfg.SupMin, cfg.MaxTreeEdges)
+	clock.lap("mine")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	e.cl = e.buildClustering(rng)
+	clock.lap("cluster")
 	e.csgs = csg.NewManager(0)
 	e.csgs.SetMemo(cfg.Workers >= 1)
 	e.csgs.BuildAll(e.cl)
+	clock.lap("csg")
 	if cfg.UseIndices {
 		e.ix = index.Build(e.set, db, nil)
+		clock.lap("index")
 	}
 	e.counter = graphlet.NewCounter(db)
+	clock.lap("graphlet")
 	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
 	e.metrics.Memo = cfg.Workers >= 1
+	clock.lap("metrics")
 	sel := catapult.NewSelector(e.metrics, e.cl, e.csgs, e.selectConfig(nil))
 	e.patterns = sel.Select(0)
 	e.nextPatternID = len(e.patterns)
@@ -288,10 +304,32 @@ func newEngine(db *graph.Database, cfg Config) *Engine {
 			e.ix.RegisterPattern(p)
 		}
 	}
+	clock.lap("select")
 	e.refreshSmallPatterns()
-	e.BootstrapTime = time.Since(start)
+	clock.lap("small")
+	e.bootstrap, e.BootstrapTime = clock.stages, clock.total()
 	return e
 }
+
+// stageClock times consecutive bootstrap stages.
+type stageClock struct {
+	start, last time.Time
+	stages      []StageTiming
+}
+
+func newStageClock() *stageClock {
+	now := time.Now()
+	return &stageClock{start: now, last: now}
+}
+
+// lap closes the stage that began at the previous lap.
+func (c *stageClock) lap(name string) {
+	now := time.Now()
+	c.stages = append(c.stages, StageTiming{Name: name, Duration: now.Sub(c.last)})
+	c.last = now
+}
+
+func (c *stageClock) total() time.Duration { return c.last.Sub(c.start) }
 
 // buildClustering builds the coarse+fine clustering with the configured
 // feature family.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/telemetry"
@@ -92,5 +94,52 @@ func TestSetTelemetryNopDetaches(t *testing.T) {
 	// Maintain still works detached.
 	if _, err := e.Maintain(graph.Update{Insert: boronDelta(2, 50)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBootstrapStageTelemetry(t *testing.T) {
+	stageNames := func(e *Engine) []string {
+		var names []string
+		var sum time.Duration
+		for _, st := range e.bootstrap {
+			names = append(names, st.Name)
+			sum += st.Duration
+		}
+		if sum != e.BootstrapTime {
+			t.Fatalf("stages sum to %v, BootstrapTime is %v", sum, e.BootstrapTime)
+		}
+		return names
+	}
+
+	e := NewEngine(testDB(8, 8), testConfig())
+	want := []string{"mine", "cluster", "csg", "index", "graphlet", "metrics", "select", "small"}
+	if got := stageNames(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bootstrap stages = %v, want %v", got, want)
+	}
+	reg := telemetry.NewRegistry()
+	e.SetTelemetry(reg)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range want {
+		if want := `midas_bootstrap_stage_seconds{stage="` + name + `"}`; !strings.Contains(b.String(), want) {
+			t.Fatalf("scrape missing %q:\n%s", want, b.String())
+		}
+	}
+
+	// The restore rebuild runs no selection: its patterns come from the
+	// bundle and are registered in the index stage.
+	r := NewEngineWithPatterns(testDB(8, 8), testConfig(), e.Patterns())
+	if got, want := stageNames(r), []string{"mine", "cluster", "csg", "index", "graphlet", "metrics"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restore stages = %v, want %v", got, want)
+	}
+
+	// Without indices the index stage does not run.
+	cfg := testConfig()
+	cfg.UseClosedFeatures = true
+	n := NewEngineWith(testDB(8, 8), cfg)
+	if got, want := stageNames(n), []string{"mine", "cluster", "csg", "graphlet", "metrics", "select", "small"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("no-index stages = %v, want %v", got, want)
 	}
 }

@@ -14,19 +14,6 @@ import (
 // best subgraph found so far is returned (a lower bound), which is the
 // standard engineering compromise for this NP-hard primitive.
 
-type mccsState struct {
-	g1, g2    *graph.Graph
-	map12     []int // g1 vertex -> g2 vertex or -1
-	used2     []bool
-	edgesUsed map[graph.Edge]bool // g1 edges already in the common subgraph
-	cur       []graph.Edge        // g1 edges of the current common subgraph
-	best      []graph.Edge
-	bestMap   []int
-	budget    int
-	steps     int
-	cancel    func() bool
-}
-
 // MCCSResult describes the best common connected subgraph found.
 type MCCSResult struct {
 	// Edges are edges of g1 forming the common subgraph.
@@ -63,70 +50,208 @@ func MCCSWithCancel(g1, g2 *graph.Graph, budget int, cancel func() bool) MCCSRes
 		g1, g2 = g2, g1
 		swapped = true
 	}
-	s := &mccsState{
-		g1:        g1,
-		g2:        g2,
-		map12:     make([]int, g1.Order()),
-		used2:     make([]bool, g2.Order()),
-		edgesUsed: make(map[graph.Edge]bool),
-		budget:    budget,
-		cancel:    cancel,
-	}
-	for i := range s.map12 {
-		s.map12[i] = -1
-	}
-	// Seed with every compatible (g1 edge, g2 edge, orientation) triple.
-	minSize := g1.Size()
-	if g2.Size() < minSize {
-		minSize = g2.Size()
-	}
+	s := newMCCSState(g1, g2, budget, cancel)
+	// Seed with every compatible (g1 edge, g2 edge, orientation) triple:
+	// e2's endpoints in their stored order first, then reversed. g1 is
+	// the smaller graph, so a full match of g1 ends the search.
 outer:
-	for _, e1 := range g1.Edges() {
+	for i, e1 := range s.edges1 {
+		lu, lv := s.label1[e1.U], s.label1[e1.V]
 		for _, e2 := range g2.Edges() {
-			for _, o := range orientations(g1, g2, e1, e2) {
-				s.map12[e1.U] = o[0]
-				s.map12[e1.V] = o[1]
-				s.used2[o[0]] = true
-				s.used2[o[1]] = true
-				s.edgesUsed[e1] = true
-				s.cur = append(s.cur, e1)
-
-				s.extend()
-
-				s.cur = s.cur[:0]
-				delete(s.edgesUsed, e1)
-				s.used2[o[0]] = false
-				s.used2[o[1]] = false
-				s.map12[e1.U] = -1
-				s.map12[e1.V] = -1
-				if len(s.best) == minSize || s.steps >= s.budget {
+			la, lb := s.label2[e2.U], s.label2[e2.V]
+			if lu == la && lv == lb {
+				s.seed(i, e2.U, e2.V)
+				if len(s.best) == len(s.edges1) || s.steps >= s.budget {
+					break outer
+				}
+			}
+			if lu == lb && lv == la {
+				s.seed(i, e2.V, e2.U)
+				if len(s.best) == len(s.edges1) || s.steps >= s.budget {
 					break outer
 				}
 			}
 		}
 	}
-	res := MCCSResult{Edges: s.best, Mapping: s.bestMap, Exact: s.steps < s.budget}
-	flushMCCS(s.steps, !res.Exact)
-	if res.Mapping == nil {
-		res.Mapping = make([]int, 0)
+	res := MCCSResult{Mapping: s.bestMap, Exact: s.steps < s.budget}
+	if len(s.best) > 0 {
+		res.Edges = make([]graph.Edge, len(s.best))
+		for k, i := range s.best {
+			res.Edges[k] = s.edges1[i]
+		}
 	}
+	flushMCCS(s.steps, !res.Exact)
 	if swapped {
 		res = swapResult(res, g1, g2)
 	}
 	return res
 }
 
-// orientations returns the ways e2's endpoints can be assigned to e1's
-// endpoints with matching labels: each element is [imageOfU, imageOfV].
-func orientations(g1, g2 *graph.Graph, e1, e2 graph.Edge) [][2]int {
-	var out [][2]int
-	if g1.Label(e1.U) == g2.Label(e2.U) && g1.Label(e1.V) == g2.Label(e2.V) {
-		out = append(out, [2]int{e2.U, e2.V})
+// mccsState is the search state of one MCCS call, laid out densely so
+// the inner loop does no hashing: g1 edges are addressed by their
+// position in g1.Edges(), g2 adjacency is a bit matrix, and vertex
+// labels are interned to small ints shared by both graphs.
+type mccsState struct {
+	g2      *graph.Graph
+	edges1  []graph.Edge // g1.Edges(); positions index used1
+	label1  []int32      // g1 vertex -> interned label
+	label2  []int32      // g2 vertex -> interned label
+	adj2    []uint64     // g2 adjacency bit matrix, stride words per row
+	stride  int
+	map12   []int   // g1 vertex -> g2 vertex or -1
+	used2   []bool  // g2 vertices in the image of map12
+	used1   []bool  // g1 edges in the common subgraph, by position
+	cur     []int32 // g1 edge positions of the current common subgraph
+	best    []int32
+	bestMap []int // map12 when best was recorded; empty until then
+	budget  int
+	steps   int
+	cancel  func() bool
+}
+
+func newMCCSState(g1, g2 *graph.Graph, budget int, cancel func() bool) *mccsState {
+	n1, n2 := g1.Order(), g2.Order()
+	s := &mccsState{
+		g2:      g2,
+		edges1:  g1.Edges(),
+		stride:  (n2 + 63) >> 6,
+		map12:   make([]int, n1),
+		used2:   make([]bool, n2),
+		used1:   make([]bool, g1.Size()),
+		cur:     make([]int32, 0, g1.Size()),
+		best:    make([]int32, 0, g1.Size()),
+		bestMap: make([]int, 0, n1),
+		budget:  budget,
+		cancel:  cancel,
 	}
-	if g1.Label(e1.U) == g2.Label(e2.V) && g1.Label(e1.V) == g2.Label(e2.U) {
-		out = append(out, [2]int{e2.V, e2.U})
+	for i := range s.map12 {
+		s.map12[i] = -1
 	}
-	return out
+	labels := make([]int32, n1+n2)
+	ids := make(map[string]int32)
+	for i, l := range g1.Labels() {
+		labels[i] = intern(ids, l)
+	}
+	for i, l := range g2.Labels() {
+		labels[n1+i] = intern(ids, l)
+	}
+	s.label1, s.label2 = labels[:n1], labels[n1:]
+	s.adj2 = make([]uint64, n2*s.stride)
+	for _, e := range g2.Edges() {
+		s.adj2[e.U*s.stride+e.V>>6] |= 1 << (uint(e.V) & 63)
+		s.adj2[e.V*s.stride+e.U>>6] |= 1 << (uint(e.U) & 63)
+	}
+	return s
+}
+
+// intern returns the small int standing for label l, numbering labels
+// in first-seen order.
+func intern(ids map[string]int32, l string) int32 {
+	id, ok := ids[l]
+	if !ok {
+		id = int32(len(ids))
+		ids[l] = id
+	}
+	return id
+}
+
+// hasEdge2 reports whether g2 has the edge (u,v).
+func (s *mccsState) hasEdge2(u, v int) bool {
+	return s.adj2[u*s.stride+v>>6]&(1<<(uint(v)&63)) != 0
+}
+
+// seed runs the search from g1 edge i mapped onto the g2 edge (a,b).
+func (s *mccsState) seed(i, a, b int) {
+	e1 := s.edges1[i]
+	s.map12[e1.U] = a
+	s.map12[e1.V] = b
+	s.used2[a] = true
+	s.used2[b] = true
+	s.used1[i] = true
+	s.cur = append(s.cur, int32(i))
+
+	s.extend()
+
+	s.cur = s.cur[:0]
+	s.used1[i] = false
+	s.used2[a] = false
+	s.used2[b] = false
+	s.map12[e1.U] = -1
+	s.map12[e1.V] = -1
+}
+
+// extend grows the current common subgraph by one edge and recurses.
+func (s *mccsState) extend() {
+	if s.steps >= s.budget {
+		return
+	}
+	if s.cancel != nil && s.steps&0x3FF == 0 && s.cancel() {
+		s.steps = s.budget // drain: every budget check now exits
+		return
+	}
+	s.steps++
+	if len(s.cur) > len(s.best) {
+		s.best = append(s.best[:0], s.cur...)
+		s.bestMap = append(s.bestMap[:0], s.map12...)
+	}
+	// Not an upper-bound prune: counting every unused g1 edge as still
+	// attainable makes current + remaining = |E1|, so this stops only
+	// once best is a full-size match of g1.
+	if len(s.edges1) <= len(s.best) {
+		return
+	}
+	// Candidate g1 edges: unused, adjacent to the mapped region.
+	for i, e1 := range s.edges1 {
+		if s.used1[i] {
+			continue
+		}
+		mu, mv := s.map12[e1.U], s.map12[e1.V]
+		switch {
+		case mu >= 0 && mv >= 0:
+			// Both endpoints mapped: the g2 edge must exist.
+			if !s.hasEdge2(mu, mv) {
+				continue
+			}
+			s.used1[i] = true
+			s.cur = append(s.cur, int32(i))
+			s.extend()
+			s.cur = s.cur[:len(s.cur)-1]
+			s.used1[i] = false
+		case mu >= 0:
+			s.extendFrom(i, mu, e1.V)
+		case mv >= 0:
+			s.extendFrom(i, mv, e1.U)
+		}
+		if s.steps >= s.budget {
+			return
+		}
+	}
+}
+
+// extendFrom adds g1 edge i, whose endpoint `free` is unmapped and whose
+// other endpoint is mapped to gAnchor, once per compatible g2 neighbour
+// of gAnchor.
+func (s *mccsState) extendFrom(i, gAnchor, free int) {
+	want := s.label1[free]
+	for _, g2v := range s.g2.Neighbors(gAnchor) {
+		if s.used2[g2v] || s.label2[g2v] != want {
+			continue
+		}
+		s.map12[free] = g2v
+		s.used2[g2v] = true
+		s.used1[i] = true
+		s.cur = append(s.cur, int32(i))
+
+		s.extend()
+
+		s.cur = s.cur[:len(s.cur)-1]
+		s.used1[i] = false
+		s.used2[g2v] = false
+		s.map12[free] = -1
+		if s.steps >= s.budget {
+			return
+		}
+	}
 }
 
 // swapResult converts a result computed on (small=g1,big=g2) after the
@@ -149,81 +274,6 @@ func swapResult(r MCCSResult, small, big *graph.Graph) MCCSResult {
 	}
 	_ = small
 	return MCCSResult{Edges: edges, Mapping: inv, Exact: r.Exact}
-}
-
-// extend grows the current common subgraph by one edge and recurses.
-func (s *mccsState) extend() {
-	if s.steps >= s.budget {
-		return
-	}
-	if s.cancel != nil && s.steps&0x3FF == 0 && s.cancel() {
-		s.steps = s.budget // drain: every budget check now exits
-		return
-	}
-	s.steps++
-	if len(s.cur) > len(s.best) {
-		s.best = append(s.best[:0:0], s.cur...)
-		s.bestMap = append([]int(nil), s.map12...)
-	}
-	// Upper bound: cannot beat best even using every remaining g1 edge.
-	if len(s.cur)+remainingEdges(s.g1, s.edgesUsed) <= len(s.best) {
-		return
-	}
-	// Candidate g1 edges: unused, adjacent to the mapped region.
-	for _, e1 := range s.g1.Edges() {
-		if s.edgesUsed[e1] {
-			continue
-		}
-		mu, mv := s.map12[e1.U], s.map12[e1.V]
-		switch {
-		case mu >= 0 && mv >= 0:
-			// Both endpoints mapped: the g2 edge must exist.
-			if !s.g2.HasEdge(mu, mv) {
-				continue
-			}
-			s.edgesUsed[e1] = true
-			s.cur = append(s.cur, e1)
-			s.extend()
-			s.cur = s.cur[:len(s.cur)-1]
-			delete(s.edgesUsed, e1)
-		case mu >= 0:
-			s.extendFrom(e1, e1.U, e1.V)
-		case mv >= 0:
-			s.extendFrom(e1, e1.V, e1.U)
-		}
-		if s.steps >= s.budget {
-			return
-		}
-	}
-}
-
-// extendFrom maps the free endpoint `free` of edge e1 (whose other
-// endpoint `anchored` is mapped) to each compatible g2 neighbour.
-func (s *mccsState) extendFrom(e1 graph.Edge, anchored, free int) {
-	gAnchor := s.map12[anchored]
-	for _, g2v := range s.g2.Neighbors(gAnchor) {
-		if s.used2[g2v] || s.g2.Label(g2v) != s.g1.Label(free) {
-			continue
-		}
-		s.map12[free] = g2v
-		s.used2[g2v] = true
-		s.edgesUsed[e1] = true
-		s.cur = append(s.cur, e1)
-
-		s.extend()
-
-		s.cur = s.cur[:len(s.cur)-1]
-		delete(s.edgesUsed, e1)
-		s.used2[g2v] = false
-		s.map12[free] = -1
-		if s.steps >= s.budget {
-			return
-		}
-	}
-}
-
-func remainingEdges(g *graph.Graph, used map[graph.Edge]bool) int {
-	return g.Size() - len(used)
 }
 
 // MCCSSimilarity returns ω_MCCS(g1,g2) = |MCCS| / min(|G1|,|G2|), in

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -148,9 +147,6 @@ func (o *Options) engineOptions(ov Overrides) midas.Options {
 	}
 	if ov.Workers != nil {
 		opts.Workers = *ov.Workers
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return opts
 }

@@ -285,7 +285,8 @@ func (sh *Shard) openEngine(p Paths, o *Options) (map[string]string, error) {
 			// wall-clock knob comes from the caller.
 			var meta map[string]string
 			if sh.engine, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers); err == nil {
-				sh.logger.Infof(sh.prefix("restored state: %d graphs, %d patterns"), sh.engine.DB().Len(), len(sh.engine.Patterns()))
+				sh.logger.Infof(sh.prefix("restored state: %d graphs, %d patterns, rebuilt in %v"),
+					sh.engine.DB().Len(), len(sh.engine.Patterns()), sh.engine.BootstrapTime())
 				return meta, nil
 			}
 		}

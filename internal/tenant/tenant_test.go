@@ -133,6 +133,21 @@ emol     workers=2 max-inflight=8 maintain-queue=16 seed=7
 	}
 }
 
+// TestEngineOptionsKeepsZeroWorkers pins workers=0 (a manifest override
+// or the process default) to the sequential reference path: the shard
+// engine gets 0, not a pool as wide as the machine.
+func TestEngineOptionsKeepsZeroWorkers(t *testing.T) {
+	zero := 0
+	o := &Options{Engine: midas.Options{Workers: 3}}
+	if got := o.engineOptions(Overrides{Workers: &zero}).Workers; got != 0 {
+		t.Fatalf("override workers=0: engine Workers = %d, want 0", got)
+	}
+	o = &Options{}
+	if got := o.engineOptions(Overrides{}).Workers; got != 0 {
+		t.Fatalf("process default workers=0: engine Workers = %d, want 0", got)
+	}
+}
+
 func TestBudgetWeightedFIFO(t *testing.T) {
 	b := NewBudget(4)
 	ctx := context.Background()
