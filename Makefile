@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare bench-sustained sustained-smoke bench-tenants tenants-smoke replica-smoke serve-smoke clean
+.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare tenants-smoke replica-smoke serve-smoke clean
 
 all: build test
 
@@ -73,23 +73,6 @@ bench-compare:
 	$(GO) run ./cmd/midas-bench -compare-workers 4 > BENCH_PR5.json
 	@cat BENCH_PR5.json
 
-# Sustained-serving comparison: read latency with mutex-serialised
-# serving vs atomically-swapped snapshots, idle and during a forced
-# major batch (writes BENCH_PR6.json).
-bench-sustained:
-	$(GO) run ./cmd/midas-bench -sustained -scale small
-
-# Quick version of the above for CI: tiny scale, short window, output
-# to a scratch file so the committed BENCH_PR6.json stays the real run.
-sustained-smoke:
-	$(GO) run ./cmd/midas-bench -sustained -scale tiny -sustained-window 500ms -sustained-out /tmp/bench_sustained_smoke.json
-
-# Multi-tenant isolation benchmark: 4 shards behind one router, a
-# forced major batch on one, read p99 on the others vs idle (writes
-# BENCH_PR7.json; acceptance is worst victim p99 ratio <= 1.5x).
-bench-tenants:
-	$(GO) run ./cmd/midas-bench -tenants 4 -scale small
-
 # The CI gate for the tenant subsystem: boot 3 tenants behind one
 # router, maintain one, query all, assert isolation headers and that
 # only the maintained tenant's generation moves — under -race.
@@ -98,9 +81,13 @@ tenants-smoke:
 
 # The CI gate for the replication subsystem: primary + follower over
 # real HTTP, writes replicate, follower reads carry the replica
-# headers, promotion fences the old primary — under -race.
+# headers, promotion fences the old primary; then replicated
+# midas-serve as two processes (primary + pull-only follower, one
+# write, byte-identical panels, a fenced follower write, SIGTERM exit
+# 0, follower restart) — under -race.
 replica-smoke:
 	$(GO) test -race -run 'TestSmokeFailoverHTTP' -v ./internal/replica/
+	$(GO) test -race -run 'TestReplicaServeSmoke' -v ./cmd/midas-serve/
 
 # The CI gate for single-tenant serving as a process: boot midas-serve
 # with -db -save -watch, apply one HTTP and one spool batch, SIGTERM it

@@ -69,14 +69,6 @@ func main() {
 		jsonPath = flag.String("json", "", `write machine-readable results (tables + per-batch maintenance trace) to this file ("-" = stdout)`)
 		cmpWork  = flag.Int("compare-workers", 0, "instead of figures, replay the maintenance trace sequentially and at this worker count, verify the outputs are identical, and print the timing comparison as JSON")
 		cmpRound = flag.Int("compare-rounds", 3, "trace replays per mode in -compare-workers (restart-and-replay is the memo layer's workload)")
-
-		sustained  = flag.Bool("sustained", false, "instead of figures, benchmark concurrent read serving (mutex-serialised vs snapshot pipeline) idle and during a forced major batch, and write the comparison to -sustained-out")
-		susOut     = flag.String("sustained-out", "BENCH_PR6.json", "output file for -sustained results")
-		susReaders = flag.Int("sustained-readers", 8, "concurrent reader goroutines in -sustained (per tenant in -tenants)")
-		susWindow  = flag.Duration("sustained-window", 2*time.Second, "idle sampling window per mode in -sustained / -tenants")
-
-		tenantsN = flag.Int("tenants", 0, "instead of figures, benchmark multi-tenant isolation: boot N tenant shards behind one router, force a major batch on one, and compare the other tenants' read p99 against idle; writes -tenants-out")
-		tenOut   = flag.String("tenants-out", "BENCH_PR7.json", "output file for -tenants results")
 	)
 	flag.Parse()
 
@@ -95,26 +87,6 @@ func main() {
 
 	if *seed != 0 {
 		s.Seed = *seed
-	}
-
-	// Sustained serving mode: lock-free snapshot reads vs the old
-	// mutex-serialised architecture, idle and mid-maintenance.
-	if *sustained {
-		if err := runSustained(s, *scale, *susOut, *susReaders, *susWindow); err != nil {
-			fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// Multi-tenant isolation mode: N shards, one shared budget, a major
-	// batch on one tenant, read p99 on the others vs idle.
-	if *tenantsN > 0 {
-		if err := runTenantsBench(s, *scale, *tenOut, *tenantsN, *susReaders, *susWindow); err != nil {
-			fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// Comparison mode: sequential reference vs pooled/memoised kernels

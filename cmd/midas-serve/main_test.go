@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/replica"
 )
 
 // serveAsMain, when set in the environment, makes the test binary run
@@ -168,4 +170,77 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("restarted /quality differs:\nbefore %s\nafter  %s", quality, got)
 	}
 	q.stop(t)
+}
+
+// TestReplicaServeSmoke drives replicated midas-serve as two
+// processes: a primary (-replica-dir -db) and a pull-only follower
+// (-replicate-from). One POST /maintain to the primary must reach the
+// follower, after which both serve byte-identical /patterns and
+// /quality; a follower write is fenced with 503 + X-Midas-Primary;
+// both exit 0 on SIGTERM; and a follower restarted from its directory
+// serves the same panel.
+func TestReplicaServeSmoke(t *testing.T) {
+	dir := t.TempDir()
+	db := dataset.EMolLike().GenerateDB(16, 3)
+	if err := os.WriteFile(filepath.Join(dir, "db.graphs"), []byte(graph.Marshal(db.Graphs())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	engine := []string{"-gamma", "4", "-min", "2", "-max", "4", "-workers", "1"}
+
+	p := startServe(t, dir, append([]string{"-replica-dir", "p", "-db", "db.graphs"}, engine...)...)
+	follower := append([]string{"-replica-dir", "f", "-replicate-from", p.base}, engine...)
+	f := startServe(t, dir, follower...)
+
+	batch := graph.Marshal(dataset.BoronicEsters().Generate(2, 0, 7))
+	resp, err := http.Post(p.base+"/maintain", "text/plain", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("primary POST /maintain = %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var st replica.StatusJSON
+		if err := json.Unmarshal(f.get(t, "/replica/status"), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.LSN == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at LSN %d\n%s", st.LSN, f.logText())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	patterns, quality := p.get(t, "/patterns"), p.get(t, "/quality")
+	if got := f.get(t, "/patterns"); !bytes.Equal(got, patterns) {
+		t.Fatalf("follower /patterns differs:\nprimary  %s\nfollower %s", patterns, got)
+	}
+	if got := f.get(t, "/quality"); !bytes.Equal(got, quality) {
+		t.Fatalf("follower /quality differs:\nprimary  %s\nfollower %s", quality, got)
+	}
+
+	resp, err = http.Post(f.base+"/maintain", "text/plain", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("X-Midas-Primary") != p.base {
+		t.Fatalf("follower write = %d with X-Midas-Primary %q, want 503 and %q",
+			resp.StatusCode, resp.Header.Get("X-Midas-Primary"), p.base)
+	}
+
+	f.stop(t)
+	f2 := startServe(t, dir, follower...)
+	if got := f2.get(t, "/patterns"); !bytes.Equal(got, patterns) {
+		t.Fatalf("restarted follower /patterns differs:\nbefore %s\nafter  %s", patterns, got)
+	}
+	if got := f2.get(t, "/quality"); !bytes.Equal(got, quality) {
+		t.Fatalf("restarted follower /quality differs:\nbefore %s\nafter  %s", quality, got)
+	}
+	f2.stop(t)
+	p.stop(t)
 }

@@ -11,9 +11,9 @@ import (
 
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
-	"github.com/midas-graph/midas/internal/panel"
 	"github.com/midas-graph/midas/internal/replica"
 	"github.com/midas-graph/midas/internal/telemetry"
+	"github.com/midas-graph/midas/internal/tenant"
 	"github.com/midas-graph/midas/internal/vfs"
 )
 
@@ -37,9 +37,9 @@ type replicaConfig struct {
 	conflicts map[string]bool
 }
 
-// runReplica is midas-serve's replicated mode: one replica.Node owns
-// the engine, the snapshot handle, the maintenance pipeline and the
-// durable state under -replica-dir; the panel server routes over it.
+// runReplica is midas-serve's replicated mode: one replica.Node runs
+// the same serving stack as single-tenant mode (a tenant.Shard, with
+// its state under -replica-dir) plus the replication log.
 // Without -replicate-from the node is the primary — it accepts writes,
 // appends each committed batch to its replication log and ships it to
 // -replica-peers; with it, the node is a warm-standby follower — it
@@ -67,9 +67,8 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 	reg := newMetrics()
 
 	ncfg := replica.Config{
-		FS:      vfs.OS,
-		Dir:     cfg.dir,
-		Options: cfg.engine,
+		FS:  vfs.OS,
+		Dir: cfg.dir,
 		Bootstrap: func() (*midas.Engine, error) {
 			if cfg.db == "" {
 				return nil, errors.New("primary cold start needs -db (no bundle under -replica-dir yet)")
@@ -81,12 +80,16 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 			logger.Infof("bootstrapping over %d graphs...", db.Len())
 			return midas.New(db, cfg.engine), nil
 		},
-		QueueSize:   cfg.queue,
-		MaxAttempts: cfg.retries,
-		Backoff:     cfg.backoff,
-		RenderSVG:   func(g *graph.Graph) string { return panel.SVG(g, 120) },
-		Telemetry:   reg,
-		Logf:        logger.Printf,
+		Shard: tenant.Options{
+			Engine:         cfg.engine,
+			RequestTimeout: cfg.timeout,
+			MaxInflight:    cfg.inflight,
+			QueueSize:      cfg.queue,
+			Retries:        cfg.retries,
+			Backoff:        cfg.backoff,
+			Logger:         logger,
+			Telemetry:      reg,
+		},
 	}
 	if cfg.from != "" {
 		ncfg.Upstream = &replica.HTTPTransport{Base: cfg.from}
@@ -112,10 +115,6 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 	logger.Infof("replication node up: role=%s epoch=%d lsn=%d", node.Role(), node.Epoch(), node.LastLSN())
 
 	srv := node.Panel()
-	srv.SetLogger(logger)
-	srv.SetRequestTimeout(cfg.timeout)
-	srv.SetMaxInflight(cfg.inflight)
-	srv.SetTelemetry(reg)
 	if cfg.pprofOn {
 		srv.EnablePprof()
 		logger.Warnf("pprof endpoints enabled on /debug/pprof/")
@@ -145,9 +144,7 @@ func runReplica(logger *telemetry.Logger, cfg replicaConfig) {
 					logger.Warnf("midas-serve: replica listener shutdown: %v", err)
 				}
 			}
-			// Node.Stop drains the pipeline and closes the log; its bundle
-			// was saved after every committed record, so no final save is
-			// needed.
+			// Node.Stop drains the shard and closes the log.
 			if err := node.Stop(ctx); err != nil {
 				logger.Warnf("midas-serve: replica stop: %v", err)
 			}

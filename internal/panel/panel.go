@@ -43,14 +43,11 @@ import (
 // propagates into Maintain and Query cancellation, and /healthz and
 // /readyz expose liveness and readiness for process supervisors.
 type Server struct {
-	// handle is the atomic generation pointer read handlers load; pipe
-	// resolves the single-writer pipeline that publishes to it. The
-	// owner (tenant.Shard or replica.Node) builds both, publishes the
-	// first generation and starts the pipeline before serving. pipe is
-	// re-resolved on every use: a replication node swaps its pipeline
-	// across divergence re-bootstraps.
-	handle *snapshot.Handle
-	pipe   func() *snapshot.Pipeline
+	// pipe is the single-writer pipeline /maintain submits to; read
+	// handlers load the generation pointer it publishes to. The owner
+	// (tenant.Shard) builds the pipeline, publishes the first
+	// generation and starts it before serving.
+	pipe *snapshot.Pipeline
 	// replica, when set, stamps replication role and lag onto every
 	// snapshot-served response and the /readyz detail line.
 	replica *ReplicaInfo
@@ -81,14 +78,14 @@ type Server struct {
 	Logf func(format string, args ...interface{})
 }
 
-// New routes over serving plumbing its caller owns: reads load handle
-// lock-free, and /maintain submits through pipe(), whose admission hook
-// may fence writes (a replication follower's 503 + Retry-After +
+// New routes over a pipeline its caller owns: reads load the pipeline's
+// handle lock-free, and /maintain submits through pipe, whose admission
+// hook may fence writes (a replication follower's 503 + Retry-After +
 // X-Midas-Primary). The owner publishes the first generation, starts
 // the pipeline and stops it; the server never does. It starts ready;
 // SetReady(false) drains /readyz.
-func New(handle *snapshot.Handle, pipe func() *snapshot.Pipeline) *Server {
-	s := &Server{handle: handle, pipe: pipe}
+func New(pipe *snapshot.Pipeline) *Server {
+	s := &Server{pipe: pipe}
 	s.ready.Store(true)
 	return s
 }
@@ -119,13 +116,13 @@ func (s *Server) SetReplicaInfo(info *ReplicaInfo) { s.replica = info }
 // before serving traffic.
 func (s *Server) SetRequestTimeout(d time.Duration) { s.timeout = d }
 
-// Pipeline returns the maintenance pipeline the server submits to —
-// the owner's current one. Out-of-band producers (the spool Watcher)
-// submit through it so journal append order equals apply order.
-func (s *Server) Pipeline() *snapshot.Pipeline { return s.pipe() }
+// Pipeline returns the maintenance pipeline the server submits to.
+// Out-of-band producers (the spool Watcher) submit through it so
+// journal append order equals apply order.
+func (s *Server) Pipeline() *snapshot.Pipeline { return s.pipe }
 
 // Handle returns the generation pointer the read handlers load.
-func (s *Server) Handle() *snapshot.Handle { return s.handle }
+func (s *Server) Handle() *snapshot.Handle { return s.pipe.Handle() }
 
 // SetMaxInflight bounds the heavy requests (/maintain, /query) served
 // concurrently (0 disables). Excess requests are shed immediately with
@@ -187,13 +184,7 @@ func (s *Server) withShedding(next http.Handler) http.Handler {
 // to [1s, 10min]. Before any batch has completed — no EWMA yet — it
 // falls back to the request timeout, or 1s when none is set.
 func (s *Server) retryAfter() string {
-	var depth int
-	var ewma time.Duration
-	if pipe := s.pipe(); pipe != nil {
-		depth = pipe.Depth()
-		ewma = pipe.BatchEWMA()
-	}
-	return strconv.FormatInt(retryAfterSeconds(depth, ewma, s.timeout), 10)
+	return strconv.FormatInt(retryAfterSeconds(s.pipe.Depth(), s.pipe.BatchEWMA(), s.timeout), 10)
 }
 
 // retryAfterSeconds is the Retry-After arithmetic, factored out so the
@@ -311,7 +302,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "draining\n")
 		return
 	}
-	snap := s.handle.Load()
+	snap := s.pipe.Handle().Load()
 	if snap == nil {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "no snapshot published\n")
@@ -329,26 +320,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			detail += fmt.Sprintf(" lag=%.3fs", ri.Lag().Seconds())
 		}
 	}
-	if st := s.staleness(); st > 0 {
-		depth := 0
-		if pipe := s.pipe(); pipe != nil {
-			depth = pipe.Depth()
-		}
+	if st := s.pipe.Staleness(); st > 0 {
 		fmt.Fprintf(w, "ready (stale: serving generation %d, %.3fs behind %d pending batch(es); %s)\n",
-			snap.Generation, st.Seconds(), depth, detail)
+			snap.Generation, st.Seconds(), s.pipe.Depth(), detail)
 		return
 	}
 	fmt.Fprintf(w, "ready (%s)\n", detail)
-}
-
-// staleness is the serving lag behind submitted maintenance (0 when
-// idle or before the owner built a pipeline).
-func (s *Server) staleness() time.Duration {
-	pipe := s.pipe()
-	if pipe == nil {
-		return 0
-	}
-	return pipe.Staleness()
 }
 
 // lsn is the shard's current journal position: the replication-log
@@ -358,10 +335,7 @@ func (s *Server) lsn() uint64 {
 	if ri := s.replica; ri != nil && ri.LSN != nil {
 		return ri.LSN()
 	}
-	if pipe := s.pipe(); pipe != nil {
-		return pipe.Applied()
-	}
-	return 0
+	return s.pipe.Applied()
 }
 
 // snapshotHeaders stamps every snapshot-served response with which
@@ -371,7 +345,7 @@ func (s *Server) lsn() uint64 {
 func (s *Server) snapshotHeaders(w http.ResponseWriter, snap *snapshot.Snapshot) {
 	h := w.Header()
 	h.Set("X-Midas-Generation", strconv.FormatUint(snap.Generation, 10))
-	h.Set("X-Midas-Staleness", strconv.FormatFloat(s.staleness().Seconds(), 'f', 3, 64))
+	h.Set("X-Midas-Staleness", strconv.FormatFloat(s.pipe.Staleness().Seconds(), 'f', 3, 64))
 	if snap.Degraded {
 		h.Set("X-Midas-Degraded", "1")
 	}
@@ -389,7 +363,7 @@ func (s *Server) snapshotHeaders(w http.ResponseWriter, snap *snapshot.Snapshot)
 // answers 503 and returns nil when none was ever published (only
 // possible before the owner published its first generation).
 func (s *Server) loadSnapshot(w http.ResponseWriter) *snapshot.Snapshot {
-	snap := s.handle.Load()
+	snap := s.pipe.Handle().Load()
 	if snap == nil {
 		s.countError("nosnapshot")
 		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
@@ -548,7 +522,7 @@ func (s *Server) handleMaintain(w http.ResponseWriter, r *http.Request) {
 		// Synchronous: the request deadline bounds the batch itself.
 		batch.Ctx = r.Context()
 	}
-	tkt, err := s.pipe().Submit(batch)
+	tkt, err := s.pipe.Submit(batch)
 	if err != nil {
 		s.maintainRejected(w, err)
 		return
@@ -673,7 +647,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "<h1>Canned patterns (%d graphs in DB)</h1>", snap.DBLen)
 	fmt.Fprintf(&b, "<p>scov %.3f · lcov %.3f · div %.2f · cog %.2f</p>", q.Scov, q.Lcov, q.Div, q.Cog)
 	fmt.Fprintf(&b, "<p><small>generation %d", snap.Generation)
-	if st := s.staleness(); st > 0 {
+	if st := s.pipe.Staleness(); st > 0 {
 		fmt.Fprintf(&b, " · %.1fs behind pending maintenance", st.Seconds())
 	}
 	if snap.Degraded {

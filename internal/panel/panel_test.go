@@ -44,7 +44,7 @@ func testServerWith(t *testing.T, cfg snapshot.Config) (*Server, *midas.Engine) 
 		defer cancel()
 		pipe.Stop(ctx)
 	})
-	return New(handle, func() *snapshot.Pipeline { return pipe }), eng
+	return New(pipe), eng
 }
 
 func TestPatternsEndpoint(t *testing.T) {

@@ -138,11 +138,11 @@ func TestChaosConvergence(t *testing.T) {
 	// up (those pushes fail and retry, which is chaos too).
 	lt := &lazyTransport{}
 	pushChaos := newFaultyTransport(lt, 42)
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap,
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap,
 		Peers: map[string]Transport{"f": pushChaos}, ShipBackoff: time.Millisecond})
 
 	pullChaos := newFaultyTransport(nodeTransport{peer: p}, 1337)
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: pullChaos, PollInterval: 3 * time.Millisecond, ShipBackoff: time.Millisecond})
 	lt.set(f)
 
@@ -204,9 +204,9 @@ func TestChaosFailover(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
 	lt := &lazyTransport{}
 	pushChaos := newFaultyTransport(lt, 7)
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap,
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap,
 		Peers: map[string]Transport{"f": pushChaos}, ShipBackoff: time.Millisecond})
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream:     newFaultyTransport(nodeTransport{peer: p}, 8),
 		PollInterval: 3 * time.Millisecond, ShipBackoff: time.Millisecond})
 	lt.set(f)

@@ -125,7 +125,7 @@ func (n *Node) Status() StatusJSON {
 		Role:       n.Role().String(),
 		Epoch:      n.Epoch(),
 		LSN:        n.LastLSN(),
-		Generation: n.handle.Generation(),
+		Generation: n.Handle().Generation(),
 		LagSeconds: n.Lag().Seconds(),
 		Parked:     len(n.Parked()),
 		Primary:    n.cfg.PrimaryURL,

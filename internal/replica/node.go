@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -13,11 +12,12 @@ import (
 	"time"
 
 	"github.com/midas-graph/midas"
-	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/backoff"
+	"github.com/midas-graph/midas/internal/panel"
 	"github.com/midas-graph/midas/internal/snapshot"
 	"github.com/midas-graph/midas/internal/store"
 	"github.com/midas-graph/midas/internal/telemetry"
+	"github.com/midas-graph/midas/internal/tenant"
 	"github.com/midas-graph/midas/internal/vfs"
 )
 
@@ -76,15 +76,9 @@ type Config struct {
 	// Dir holds the node's durable state: state.bundle (+ .prev/.tmp
 	// generations) and replication.log.
 	Dir string
-	// Options are the node's engine options. Engines loaded from a
-	// bundle (local, upstream or re-bootstrap) take every option but
-	// Workers from its header and are rebuilt at Options.Workers.
-	// Bundles and fingerprints record Workers as 0, so the nodes of one
-	// pair may run different worker counts.
-	Options midas.Options
 	// Bootstrap builds the initial engine when a primary cold-starts
-	// with no bundle. Followers bootstrap from the upstream bundle
-	// instead.
+	// with no bundle; the whole replication log is then replayed over
+	// it. Followers bootstrap from the upstream bundle instead.
 	Bootstrap func() (*midas.Engine, error)
 	// Upstream, when set, starts the node as a follower of that peer.
 	Upstream Transport
@@ -95,11 +89,16 @@ type Config struct {
 	// name (used for backoff jitter and metrics).
 	Peers map[string]Transport
 
-	// QueueSize, MaxAttempts and Backoff parameterise the node's
-	// snapshot pipeline exactly as panel.Server's knobs do.
-	QueueSize   int
-	MaxAttempts int
-	Backoff     time.Duration
+	// Shard configures the node's serving stack, a tenant.Shard: its
+	// engine options, maintenance queue, batch retries, request bounds,
+	// logger and telemetry registry, which also takes the node's own
+	// metric families. Engines loaded from a bundle (local, upstream or
+	// re-bootstrap) take every option but Workers from its header and
+	// are rebuilt at Shard.Engine.Workers; bundles and fingerprints
+	// record Workers as 0, so the nodes of one pair may run different
+	// worker counts. The node sets NewEngine, Admit and Commit itself;
+	// the registry, journal and spool settings do not apply.
+	Shard tenant.Options
 	// ShipBackoff seeds the replication loops' retry schedule
 	// (capped exponential with deterministic jitter; default 50ms).
 	ShipBackoff time.Duration
@@ -108,41 +107,44 @@ type Config struct {
 	PollInterval time.Duration
 	// ShipMax bounds records per push or pull (default 64).
 	ShipMax int
-
-	// RenderSVG pre-renders pattern views in published snapshots.
-	RenderSVG func(*graph.Graph) string
-	// Telemetry registers the node's metric families when set.
-	Telemetry *telemetry.Registry
-	// Logf receives diagnostic lines.
-	Logf func(format string, args ...interface{})
 }
 
-// Node is one replicated serving stack: the engine, its snapshot
-// handle and maintenance pipeline, and the replication log, in either
-// role. The handle outlives engine swaps (its generation counter is
-// monotonic), so readers never observe a reset even across follower
-// re-bootstraps.
+// Node is one replicated serving stack in either role: a tenant.Shard
+// (engine, snapshot handle, maintenance pipeline, panel server, state
+// bundle) plus the replication log. The shard lives as long as the
+// node: a follower re-bootstrap swaps the engine inside its pipeline
+// with one batch, so the handle's generations keep rising and the
+// pipeline's metrics stay live.
 type Node struct {
-	cfg  Config
-	fsys vfs.FS
+	cfg    Config
+	fsys   vfs.FS
+	logger *telemetry.Logger
 
 	bundlePath string
 	logPath    string
 
-	handle *snapshot.Handle
+	// shard is the serving stack Start opens.
+	shard *tenant.Shard
 
-	// mu guards the swappable pointers (eng, pipe, log) and parked.
-	mu   sync.RWMutex
-	eng  *midas.Engine
-	pipe *snapshot.Pipeline
-	log  *store.RepLog
+	// mu guards the log (a re-bootstrap replaces it), parked and
+	// started.
+	mu      sync.RWMutex
+	log     *store.RepLog
+	parked  []ParkedRecord
+	started bool
 
-	// applyMu serialises everything that mutates engine state outside
-	// the pipeline's own goroutine: record installs, promotion,
-	// re-bootstrap. While held, the pipeline is quiesced between
-	// submissions, so reading the engine (fingerprints, bundle saves)
-	// is race-free.
+	// applyMu serialises everything that changes replicated state
+	// outside client batches: record installs, promotion, re-bootstrap.
+	// While it is held the pipeline applies only the holder's batches (a
+	// client batch reaching a follower is fenced before it applies), so
+	// reading the engine between them (fingerprints, bundle saves) is
+	// race-free.
 	applyMu sync.Mutex
+	// installMeta is the bundle metadata (replication position) of the
+	// replicated batch in flight: set under applyMu before the submit
+	// and read by commit on the maintenance goroutine; the submit and
+	// the ticket order the two.
+	installMeta map[string]string
 
 	role        atomic.Int32
 	epoch       atomic.Uint64
@@ -152,16 +154,13 @@ type Node struct {
 	// from it. 0 until first contact.
 	lastSyncNanos atomic.Int64
 
-	parked []ParkedRecord
-
 	// shipper ack positions, keyed by peer name.
 	ackMu sync.Mutex
 	acked map[string]uint64
 
-	runCtx  context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	started bool
+	runCtx context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	tel *nodeTelemetry
 }
@@ -184,9 +183,9 @@ func NewNode(cfg Config) *Node {
 	n := &Node{
 		cfg:        cfg,
 		fsys:       cfg.FS,
+		logger:     cfg.Shard.Logger,
 		bundlePath: filepath.Join(cfg.Dir, "state.bundle"),
 		logPath:    filepath.Join(cfg.Dir, "replication.log"),
-		handle:     snapshot.NewHandle(),
 		acked:      make(map[string]uint64),
 		runCtx:     ctx,
 		cancel:     cancel,
@@ -194,14 +193,8 @@ func NewNode(cfg Config) *Node {
 	if cfg.Upstream != nil {
 		n.role.Store(int32(RoleFollower))
 	}
-	n.setTelemetry(cfg.Telemetry)
+	n.setTelemetry(cfg.Shard.Telemetry)
 	return n
-}
-
-func (n *Node) logf(format string, args ...interface{}) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
 }
 
 // Role returns the node's current role.
@@ -213,18 +206,22 @@ func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 // LastLSN returns the node's applied replication position.
 func (n *Node) LastLSN() uint64 { return n.lastApplied.Load() }
 
+// currentLog returns the replication log, copied out under mu so the
+// (log-internal) work of its callers does not run inside the node's
+// lock.
+func (n *Node) currentLog() *store.RepLog {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.log
+}
+
 // FirstLSN returns the earliest LSN retained in the node's log — the
 // bootstrap seed position on a follower, 1 on an uncompacted primary.
-// The log pointer is copied out under mu so the (log-internal) read
-// does not run inside the node's lock.
 func (n *Node) FirstLSN() uint64 {
-	n.mu.RLock()
-	log := n.log
-	n.mu.RUnlock()
-	if log == nil {
-		return 0
+	if log := n.currentLog(); log != nil {
+		return log.FirstLSN()
 	}
-	return log.FirstLSN()
+	return 0
 }
 
 // Lag is the follower's replication lag: how long since it last knew
@@ -245,17 +242,20 @@ func (n *Node) Lag() time.Duration {
 // PrimaryURL is the advertised primary address for write redirection.
 func (n *Node) PrimaryURL() string { return n.cfg.PrimaryURL }
 
-// Handle returns the snapshot generation pointer read handlers load.
-func (n *Node) Handle() *snapshot.Handle { return n.handle }
+// Panel returns the node's panel server. Reads load the snapshot
+// handle lock-free; /maintain submits through the node's pipeline,
+// whose admission hook fences writes while the node is a follower or
+// demoted (503 + Retry-After + X-Midas-Primary). Every snapshot-served
+// response carries X-Midas-Replica and X-Midas-Replication-Lag, and
+// /readyz details the replication LSN, last-publish generation, role
+// and lag.
+func (n *Node) Panel() *panel.Server { return n.shard.Server() }
 
-// Pipeline returns the node's current maintenance pipeline. The
-// pointer changes across follower re-bootstraps; callers must re-fetch
-// rather than cache.
-func (n *Node) Pipeline() *snapshot.Pipeline {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.pipe
-}
+// Handle returns the snapshot generation pointer read handlers load.
+func (n *Node) Handle() *snapshot.Handle { return n.Panel().Handle() }
+
+// Pipeline returns the node's maintenance pipeline.
+func (n *Node) Pipeline() *snapshot.Pipeline { return n.Panel().Pipeline() }
 
 // Parked returns the records stranded by demotions, oldest first.
 func (n *Node) Parked() []ParkedRecord {
@@ -266,11 +266,17 @@ func (n *Node) Parked() []ParkedRecord {
 	return out
 }
 
-// Start bootstraps the node — load or fetch state, open the
-// replication log, replay the unapplied suffix, publish the first
-// snapshot — and launches the replication goroutines. ctx bounds only
+// Start brings the node up and launches the replication goroutines:
+// it opens the replication log (salvaging a torn tail), takes the
+// engine from the newest valid bundle generation — or, with none, from
+// the upstream's bundle on a follower and from Bootstrap on a primary
+// — opens the serving stack on it, and replays the log past that
+// position through the install path shipped records take (with no
+// suffix it saves the bundle at its position instead). ctx bounds only
 // the bootstrap (a follower's bundle fetch); the running node is
-// stopped with Stop.
+// stopped with Stop. A failed start leaves nothing running and writes
+// no bundle past the last record it verified: a replay that diverges
+// quarantines the one generation it wrote unverified.
 func (n *Node) Start(ctx context.Context) error {
 	n.mu.Lock()
 	if n.started {
@@ -280,22 +286,61 @@ func (n *Node) Start(ctx context.Context) error {
 	n.started = true
 	n.mu.Unlock()
 
-	eng, log, lsn, epoch, err := n.bootstrap(ctx)
+	log, err := store.OpenRepLogFS(n.fsys, n.logPath)
 	if err != nil {
 		return err
 	}
-	pipe := n.buildPipeline(eng, log)
-
-	n.mu.Lock()
-	n.eng, n.log, n.pipe = eng, log, pipe
-	n.mu.Unlock()
+	if s := log.Salvage(); s.TailBytes > 0 {
+		n.logger.Warnf("replica: salvaged replication log: %d torn bytes quarantined to %s", s.TailBytes, s.QuarantinePath)
+	}
+	eng, lsn, epoch, err := n.bootstrap(ctx, &log)
+	var suffix []store.RepRecord
+	if err == nil {
+		suffix, epoch, err = logSuffix(log, lsn, epoch)
+	}
+	if err == nil {
+		o := n.cfg.Shard
+		o.Admit, o.Commit = n.admit, n.commit
+		o.NewEngine = func(string, midas.Options) (*midas.Engine, bool, error) { return eng, false, nil }
+		n.shard, err = tenant.OpenShard("", tenant.Paths{Save: n.bundlePath, FS: n.fsys}, o)
+	}
+	if err != nil {
+		log.Close()
+		return err
+	}
+	n.shard.Server().SetReplicaInfo(&panel.ReplicaInfo{
+		Role:    func() string { return n.Role().String() },
+		LSN:     n.LastLSN,
+		Lag:     n.Lag,
+		Primary: n.PrimaryURL,
+	})
 	n.lastApplied.Store(lsn)
 	n.epoch.Store(epoch)
-
-	n.handle.Publish(snapshot.Build(eng, snapshot.BuildOptions{
-		RenderSVG: n.cfg.RenderSVG,
-	}))
-	pipe.Start()
+	if len(suffix) > 0 {
+		// Every replayed record saves the bundle at its position.
+		err = n.replay(log, suffix)
+	} else {
+		// Stamp the position into the bundle metadata every later save
+		// carries forward; a fetched or bootstrapped engine's bundle is
+		// then on disk for followers to bootstrap from.
+		err = n.shard.Save(positionMeta(lsn, epoch))
+	}
+	if err != nil {
+		// Stop without the shard's final save (and forget the shard, so a
+		// later Stop does not drain it either), and quarantine only the
+		// generation a diverged record wrote: the bundle the node started
+		// from stays on disk as its previous generation.
+		n.Pipeline().Stop(ctx)
+		n.shard = nil
+		log.Close()
+		if errors.Is(err, ErrDiverged) {
+			n.quarantine(n.bundlePath)
+		}
+		return err
+	}
+	n.mu.Lock()
+	n.log = log
+	n.mu.Unlock()
 
 	if n.cfg.Upstream != nil {
 		n.wg.Add(1)
@@ -308,18 +353,18 @@ func (n *Node) Start(ctx context.Context) error {
 	return nil
 }
 
-// Stop terminates the replication goroutines and drains the pipeline.
+// Stop terminates the replication goroutines, drains the serving stack
+// (queued batches finish; every applied batch already saved its
+// bundle, so the drain saves again only after a save that failed) and
+// closes the log.
 func (n *Node) Stop(ctx context.Context) error {
 	n.cancel()
 	n.wg.Wait()
-	n.mu.RLock()
-	pipe, log := n.pipe, n.log
-	n.mu.RUnlock()
 	var err error
-	if pipe != nil {
-		err = pipe.Stop(ctx)
+	if n.shard != nil {
+		err = n.shard.Drain(ctx)
 	}
-	if log != nil {
+	if log := n.currentLog(); log != nil {
 		if cerr := log.Close(); err == nil {
 			err = cerr
 		}
@@ -327,82 +372,77 @@ func (n *Node) Stop(ctx context.Context) error {
 	return err
 }
 
-// bootstrap restores or fetches the node's state and returns the
-// engine, open log and applied position. The sequence is identical for
-// crash recovery and first start:
-//
-//  1. open the replication log (salvaging a torn tail),
-//  2. load the newest valid bundle generation (salvage ladder), or —
-//     follower with no local state — fetch and install the upstream's
-//     bundle,
-//  3. replay the log suffix past the bundle's position through the
-//     engine, verifying each record's fingerprint.
-func (n *Node) bootstrap(ctx context.Context) (*midas.Engine, *store.RepLog, uint64, uint64, error) {
-	log, err := store.OpenRepLogFS(n.fsys, n.logPath)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if s := log.Salvage(); s.TailBytes > 0 {
-		n.logf("replica: salvaged replication log: %d torn bytes quarantined to %s", s.TailBytes, s.QuarantinePath)
-	}
-
+// bootstrap returns the engine the node starts from and the
+// replication position it reflects: the newest valid local bundle
+// generation (salvage ladder); else, on a follower, the upstream's
+// bundle; else, on a primary, Bootstrap at position 0, with the whole
+// log still to replay over it.
+func (n *Node) bootstrap(ctx context.Context, logp **store.RepLog) (*midas.Engine, uint64, uint64, error) {
 	data, _, lerr := store.LoadBundle(n.fsys, n.bundlePath, midas.VerifyState)
 	switch {
 	case lerr == nil:
-		eng, meta, err := midas.LoadStateMeta(byteReader(data), n.cfg.Options.Workers)
+		eng, meta, err := midas.LoadStateMeta(bytes.NewReader(data), n.cfg.Shard.Engine.Workers)
 		if err != nil {
-			log.Close()
-			return nil, nil, 0, 0, fmt.Errorf("replica: loading bundle: %w", err)
+			return nil, 0, 0, fmt.Errorf("replica: loading bundle: %w", err)
 		}
 		lsn, epoch := positionFromMeta(meta)
-		lsn, epoch, err = n.replaySuffix(eng, log, lsn, epoch)
-		if err != nil {
-			log.Close()
-			return nil, nil, 0, 0, err
-		}
-		return eng, log, lsn, epoch, nil
-
+		return eng, lsn, epoch, nil
 	case n.cfg.Upstream != nil:
-		// Cold follower: no usable local bundle — install the
-		// upstream's, then catch up over the stream.
-		eng, lsn, epoch, err := n.installUpstreamBundle(ctx, &log)
-		if err != nil {
-			log.Close()
-			return nil, nil, 0, 0, err
-		}
-		lsn, epoch, err = n.replaySuffix(eng, log, lsn, epoch)
-		if err != nil {
-			log.Close()
-			return nil, nil, 0, 0, err
-		}
-		return eng, log, lsn, epoch, nil
-
-	default:
-		// Cold primary: build the initial engine and persist the first
-		// bundle so followers can bootstrap from us immediately.
-		if n.cfg.Bootstrap == nil {
-			log.Close()
-			return nil, nil, 0, 0, fmt.Errorf("replica: no bundle (%w) and no Bootstrap configured", lerr)
-		}
-		eng, err := n.cfg.Bootstrap()
-		if err != nil {
-			log.Close()
-			return nil, nil, 0, 0, err
-		}
-		lsn, epoch := log.LastLSN(), log.Epoch()
-		if err := n.saveBundle(eng, lsn, epoch); err != nil {
-			log.Close()
-			return nil, nil, 0, 0, err
-		}
-		return eng, log, lsn, epoch, nil
+		return n.installUpstreamBundle(ctx, logp)
+	case n.cfg.Bootstrap == nil:
+		return nil, 0, 0, fmt.Errorf("replica: no bundle (%w) and no Bootstrap configured", lerr)
 	}
+	eng, err := n.cfg.Bootstrap()
+	return eng, 0, 0, err
 }
 
-// installUpstreamBundle fetches the upstream's bundle, persists it
-// verbatim as the local bundle and seeds a fresh replication log at its
-// position. A pre-existing local log that conflicts with the fetched
-// position is quarantined. The fetch retries with capped backoff until
-// ctx is done: a warm standby routinely boots before (or during) its
+// logSuffix returns the log records past the engine's position
+// (lsn, epoch) for Start to replay, and the epoch to start at. A log
+// at or behind the bundle has nothing to replay; an empty one is
+// seeded at the bundle's position. Replaying from position 0 — a cold
+// primary over its bootstrapped engine — needs the history from LSN 1,
+// so a log that starts at a seed or a compaction boundary fails with
+// store.ErrCompacted instead of starting on a state that lacks the
+// batches before it.
+func logSuffix(log *store.RepLog, lsn, epoch uint64) ([]store.RepRecord, uint64, error) {
+	if log.LastLSN() <= lsn {
+		if log.LastLSN() == 0 && lsn > 0 {
+			if err := log.Seed(lsn, epoch); err != nil {
+				return nil, 0, err
+			}
+		}
+		return nil, max(epoch, log.Epoch()), nil
+	}
+	recs, err := log.ReadFrom(lsn, 0)
+	if err == nil && lsn == 0 && recs[0].Kind != store.RecData {
+		err = fmt.Errorf("%w (the log starts with a seed at LSN %d)", store.ErrCompacted, recs[0].LSN)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("replica: reading replay suffix after LSN %d: %w", lsn, err)
+	}
+	return recs, epoch, nil
+}
+
+// replay installs the local log's own records past the bundle's
+// position, verifying each fingerprint: a crash anywhere between a log
+// append and a bundle save, on either role, converges here.
+func (n *Node) replay(log *store.RepLog, recs []store.RepRecord) error {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	for _, rec := range recs {
+		if err := n.install(log, rec); err != nil {
+			return fmt.Errorf("replica: replaying LSN %d: %w", rec.LSN, err)
+		}
+	}
+	n.logger.Infof("replica: replayed %d log records to LSN %d", len(recs), n.LastLSN())
+	return nil
+}
+
+// installUpstreamBundle fetches and loads the upstream's bundle and
+// seeds the replication log at its position; the caller saves the
+// bundle. A pre-existing local log that predates the fetched position
+// is quarantined. The fetch retries with capped backoff until ctx is
+// done: a warm standby routinely boots before (or during) its
 // primary's restart, and giving up would demote "start the follower
 // first" into an ordering constraint.
 func (n *Node) installUpstreamBundle(ctx context.Context, logp **store.RepLog) (*midas.Engine, uint64, uint64, error) {
@@ -414,23 +454,17 @@ func (n *Node) installUpstreamBundle(ctx context.Context, logp **store.RepLog) (
 			break
 		}
 		if attempt <= 3 || attempt%25 == 0 {
-			n.logf("replica: upstream bundle fetch attempt %d: %v; retrying", attempt, err)
+			n.logger.Warnf("replica: upstream bundle fetch attempt %d: %v; retrying", attempt, err)
 		}
 		if !sleepCtx(ctx, backoff.Delay(n.cfg.ShipBackoff, "bootstrap", attempt)) {
 			return nil, 0, 0, fmt.Errorf("replica: fetching upstream bundle: %w", err)
 		}
 	}
-	eng, meta, err := midas.LoadStateMeta(byteReader(br.Data), n.cfg.Options.Workers)
+	eng, meta, err := midas.LoadStateMeta(bytes.NewReader(br.Data), n.cfg.Shard.Engine.Workers)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("replica: upstream bundle: %w", err)
 	}
 	lsn, epoch := positionFromMeta(meta)
-	if err := store.SaveBundle(n.fsys, n.bundlePath, func(w io.Writer) error {
-		_, err := w.Write(br.Data)
-		return err
-	}); err != nil {
-		return nil, 0, 0, fmt.Errorf("replica: installing upstream bundle: %w", err)
-	}
 	log := *logp
 	if log.LastLSN() != 0 && log.LastLSN() < lsn {
 		// The local log predates the fetched bundle (e.g. it was lost
@@ -453,139 +487,109 @@ func (n *Node) installUpstreamBundle(ctx context.Context, logp **store.RepLog) (
 	return eng, lsn, epoch, nil
 }
 
-// replaySuffix applies the log records past the bundle's position
-// directly to the engine (the pipeline is not running yet), verifying
-// each data record's fingerprint. This is the one recovery path both
-// roles share: a crash anywhere between a log append and a bundle save
-// lands here and converges.
-func (n *Node) replaySuffix(eng *midas.Engine, log *store.RepLog, lsn, epoch uint64) (uint64, uint64, error) {
-	if log.LastLSN() <= lsn {
-		// Log at or behind the bundle (compacted, or bundle saved after
-		// the final append). Nothing to replay.
-		if log.LastLSN() == 0 && lsn > 0 {
-			if err := log.Seed(lsn, epoch); err != nil {
-				return 0, 0, err
-			}
-		}
-		if e := log.Epoch(); e > epoch {
-			epoch = e
-		}
-		return lsn, epoch, nil
-	}
-	recs, err := log.ReadFrom(lsn, 0)
-	if err != nil {
-		return 0, 0, fmt.Errorf("replica: reading replay suffix after LSN %d: %w", lsn, err)
-	}
-	for _, rec := range recs {
-		if rec.Kind == store.RecEpoch {
-			lsn, epoch = rec.LSN, rec.Epoch
-			continue
-		}
-		u, patterns, err := DecodeUpdate(rec.Data)
-		if err != nil {
-			return 0, 0, fmt.Errorf("replica: replaying LSN %d: %w", rec.LSN, err)
-		}
-		if _, err := eng.ApplyReplicated(context.Background(), u, patterns); err != nil {
-			return 0, 0, fmt.Errorf("replica: replaying LSN %d: %w", rec.LSN, err)
-		}
-		fpr, err := Fingerprint(eng)
-		if err != nil {
-			return 0, 0, err
-		}
-		if fpr != rec.Fingerprint {
-			return 0, 0, fmt.Errorf("replica: replay of LSN %d produced fingerprint %016x, log says %016x: %w",
-				rec.LSN, fpr, rec.Fingerprint, ErrDiverged)
-		}
-		lsn, epoch = rec.LSN, rec.Epoch
-	}
-	// Roll the bundle forward to the replayed position, so the next
-	// restart skips the replay and peers bootstrapping from us see
-	// current state.
-	if err := n.saveBundle(eng, lsn, epoch); err != nil {
-		return 0, 0, err
-	}
-	n.logf("replica: replayed %d log records to LSN %d", len(recs), lsn)
-	return lsn, epoch, nil
-}
-
-// buildPipeline constructs the node's maintenance pipeline over eng,
-// publishing through the node's one handle, and wires the engine and
-// pipeline telemetry. The commit slot (OnApplied) captures eng and log
-// so a later swap cannot cross wires. Registration is idempotent, so a
-// re-bootstrap's rebuild re-attaches to the same families; gauges read
-// through callbacks stay bound to the first pipeline.
-func (n *Node) buildPipeline(eng *midas.Engine, log *store.RepLog) *snapshot.Pipeline {
-	cfg := snapshot.Config{
-		QueueSize:   n.cfg.QueueSize,
-		MaxAttempts: n.cfg.MaxAttempts,
-		Backoff:     n.cfg.Backoff,
-		RenderSVG:   n.cfg.RenderSVG,
-		Logf:        n.cfg.Logf,
-		Admit: func(b snapshot.Batch) error {
-			if b.FromReplica {
-				return nil
-			}
-			if n.Role() != RolePrimary {
-				return ErrNotPrimary
-			}
-			return nil
-		},
-		OnApplied: func(b snapshot.Batch, rep midas.MaintenanceReport) error {
-			if b.FromReplica {
-				// Follower installs persist via the batch's After hook,
-				// keyed to the shipped record's exact position.
-				return nil
-			}
-			return n.commitPrimary(eng, log, b)
-		},
-	}
-	pipe := snapshot.NewPipeline(eng, n.handle, cfg)
-	if reg := n.cfg.Telemetry; reg != nil {
-		eng.SetTelemetry(reg)
-		pipe.SetTelemetry(reg)
-	}
-	return pipe
-}
-
-// commitPrimary is the primary's commit slot, on the pipeline
-// goroutine after a client batch applied: fingerprint the post-apply
-// state, append the post-remap update to the replication log, persist
-// the bundle at the new position. Idempotent across After-retries —
-// the log append dedups the tail batch, the bundle save is atomic.
-func (n *Node) commitPrimary(eng *midas.Engine, log *store.RepLog, b snapshot.Batch) error {
-	fpr, err := Fingerprint(eng)
-	if err != nil {
-		return err
-	}
-	data, err := EncodeUpdate(b.Update, eng.Patterns())
-	if err != nil {
-		return err
-	}
-	lsn, err := log.Append(b.Name, fpr, data)
-	if err != nil {
-		return err
-	}
-	if err := n.saveBundle(eng, lsn, log.Epoch()); err != nil {
-		return err
-	}
-	n.lastApplied.Store(lsn)
-	n.epoch.Store(log.Epoch())
-	if n.tel != nil {
-		n.tel.committed.Inc()
+// admit is the shard's admission hook: replicated batches always pass,
+// client writes only on the primary.
+func (n *Node) admit(b snapshot.Batch) error {
+	if !b.FromReplica && n.Role() != RolePrimary {
+		return ErrNotPrimary
 	}
 	return nil
 }
 
-// saveBundle persists the engine state with the replication position
-// in the bundle metadata, through the generational scheme (tmp
-// roll-forward, prev rollback), timed into midas_state_save_seconds.
-func (n *Node) saveBundle(eng *midas.Engine, lsn, epoch uint64) error {
-	if n.tel != nil {
-		defer n.tel.saveSeconds.Start().End()
+// commit is the shard's Commit hook, on the maintenance goroutine
+// after a batch applied and before its bundle save. A replicated batch
+// is saved at the position its installer set. A client batch, which
+// only a primary admits, is fingerprinted in its post-apply state and
+// appended, post-remap, to the replication log, and the bundle is saved
+// at its new LSN. Idempotent across save retries: the log append
+// dedups the tail batch, and the position and the commit counter move
+// once per LSN.
+func (n *Node) commit(b snapshot.Batch) (map[string]string, error) {
+	if b.FromReplica {
+		return n.installMeta, nil
 	}
-	return store.SaveBundle(n.fsys, n.bundlePath, func(w io.Writer) error {
-		return midas.SaveStateMeta(w, eng, positionMeta(lsn, epoch))
-	})
+	eng := n.shard.Engine()
+	fpr, err := Fingerprint(eng)
+	if err != nil {
+		return nil, err
+	}
+	data, err := EncodeUpdate(b.Update, eng.Patterns())
+	if err != nil {
+		return nil, err
+	}
+	log := n.currentLog()
+	lsn, err := log.Append(b.Name, fpr, data)
+	if err != nil {
+		return nil, err
+	}
+	if n.lastApplied.Swap(lsn) != lsn && n.tel != nil {
+		n.tel.committed.Inc()
+	}
+	n.epoch.Store(log.Epoch())
+	return positionMeta(lsn, log.Epoch()), nil
+}
+
+// install applies one record on top of the node's position; shipped
+// records and Start's replay of the local log both take it. The record
+// is appended to the local log (a no-op for one already there). An
+// epoch record is saved straight into the bundle metadata; a data
+// record is re-applied through the pipeline (FromReplica: IDs
+// verbatim, fence bypassed), saved at its position by commit, and its
+// recomputed fingerprint checked against the primary's, a mismatch
+// returning ErrDiverged. applyMu must be held.
+func (n *Node) install(log *store.RepLog, rec store.RepRecord) error {
+	if err := log.AppendRecord(rec); err != nil {
+		return err
+	}
+	if rec.Kind == store.RecEpoch {
+		if err := n.shard.Save(positionMeta(rec.LSN, rec.Epoch)); err != nil {
+			return err
+		}
+	} else {
+		u, patterns, err := DecodeUpdate(rec.Data)
+		if err != nil {
+			return err
+		}
+		n.installMeta = positionMeta(rec.LSN, rec.Epoch)
+		if err := n.apply(snapshot.Batch{Name: rec.Name, Update: u, FromReplica: true, ReplicaPatterns: patterns}); err != nil {
+			return fmt.Errorf("replica: installing LSN %d: %w", rec.LSN, err)
+		}
+		fpr, err := Fingerprint(n.shard.Engine())
+		if err != nil {
+			return err
+		}
+		if fpr != rec.Fingerprint {
+			if n.tel != nil {
+				n.tel.divergences.Inc()
+			}
+			return fmt.Errorf("replica: LSN %d fingerprint %016x, primary says %016x: %w",
+				rec.LSN, fpr, rec.Fingerprint, ErrDiverged)
+		}
+	}
+	n.lastApplied.Store(rec.LSN)
+	n.epoch.Store(rec.Epoch)
+	return nil
+}
+
+// apply submits one replicated batch and waits for its terminal
+// result; the ticket orders the caller's later engine reads after the
+// batch.
+func (n *Node) apply(b snapshot.Batch) error {
+	tkt, err := n.Pipeline().Submit(b)
+	if err != nil {
+		return err
+	}
+	return (<-tkt.Done).Err
+}
+
+// quarantine renames diverged state aside for post-mortem, never
+// deleting it; paths that do not exist are skipped.
+func (n *Node) quarantine(paths ...string) {
+	for _, p := range paths {
+		if err := n.fsys.Rename(p, p+".diverged"); err == nil {
+			n.logger.Warnf("replica: quarantined %s", p+".diverged")
+		}
+	}
 }
 
 // BundleBytes returns the newest valid persisted bundle and the
@@ -602,9 +606,7 @@ func (n *Node) BundleBytes() ([]byte, uint64, uint64, error) {
 
 // ReadRecords serves the node's log to pulling peers.
 func (n *Node) ReadRecords(after uint64, max int) ([]store.RepRecord, error) {
-	n.mu.RLock()
-	log := n.log
-	n.mu.RUnlock()
+	log := n.currentLog()
 	if log == nil {
 		return nil, nil
 	}
@@ -621,14 +623,11 @@ func (n *Node) Promote() error {
 	if n.Role() == RolePrimary {
 		return nil
 	}
-	n.mu.RLock()
-	eng, log := n.eng, n.log
-	n.mu.RUnlock()
-	epoch, lsn, err := log.BumpEpoch()
+	epoch, lsn, err := n.currentLog().BumpEpoch()
 	if err != nil {
 		return err
 	}
-	if err := n.saveBundle(eng, lsn, epoch); err != nil {
+	if err := n.shard.Save(positionMeta(lsn, epoch)); err != nil {
 		return err
 	}
 	n.lastApplied.Store(lsn)
@@ -637,7 +636,7 @@ func (n *Node) Promote() error {
 	if n.tel != nil {
 		n.tel.promotions.Inc()
 	}
-	n.logf("replica: promoted to primary at epoch %d (LSN %d)", epoch, lsn)
+	n.logger.Infof("replica: promoted to primary at epoch %d (LSN %d)", epoch, lsn)
 	return nil
 }
 
@@ -659,11 +658,8 @@ func (n *Node) Demote(seenEpoch uint64) {
 		}
 	}
 	n.ackMu.Unlock()
-	n.mu.Lock()
-	log := n.log
-	n.mu.Unlock()
 	var stranded []store.RepRecord
-	if log != nil {
+	if log := n.currentLog(); log != nil {
 		if recs, err := log.ReadFrom(maxAcked, 0); err == nil {
 			stranded = recs
 		}
@@ -681,7 +677,5 @@ func (n *Node) Demote(seenEpoch uint64) {
 	if n.tel != nil {
 		n.tel.demotions.Inc()
 	}
-	n.logf("replica: demoted (saw epoch %d > %d); %d unshipped record(s) parked", seenEpoch, n.Epoch(), parked)
+	n.logger.Warnf("replica: demoted (saw epoch %d > %d); %d unshipped record(s) parked", seenEpoch, n.Epoch(), parked)
 }
-
-func byteReader(b []byte) io.Reader { return bytes.NewReader(b) }

@@ -18,11 +18,11 @@ import (
 // /readyz details the journal position.
 func TestPanelOverReplica(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
 	psrv := httptest.NewServer(p.Handler())
 	defer psrv.Close()
 
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream:     &HTTPTransport{Base: psrv.URL},
 		PollInterval: 5 * time.Millisecond, PrimaryURL: psrv.URL})
 

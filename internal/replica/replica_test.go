@@ -13,6 +13,7 @@ import (
 	"github.com/midas-graph/midas/internal/dataset"
 	"github.com/midas-graph/midas/internal/snapshot"
 	"github.com/midas-graph/midas/internal/store"
+	"github.com/midas-graph/midas/internal/tenant"
 	"github.com/midas-graph/midas/internal/vfs"
 )
 
@@ -25,6 +26,9 @@ func testOptions() midas.Options {
 		Seed:    1,
 	}
 }
+
+// testShard is the serving-stack configuration of a test node.
+func testShard() tenant.Options { return tenant.Options{Engine: testOptions()} }
 
 func testBootstrap() (*midas.Engine, error) {
 	db := dataset.EMolLike().GenerateDB(20, 3)
@@ -158,7 +162,7 @@ func bundleOf(t *testing.T, n *Node) []byte {
 
 func TestPrimaryCommitsToLog(t *testing.T) {
 	sim := vfs.NewSim()
-	p := startNode(t, Config{FS: sim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
+	p := startNode(t, Config{FS: sim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
 
 	if p.Role() != RolePrimary {
 		t.Fatalf("role = %v, want primary", p.Role())
@@ -187,8 +191,8 @@ func TestPrimaryCommitsToLog(t *testing.T) {
 
 func TestFollowerWritesFenced(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: 5 * time.Millisecond})
 
 	if f.Role() != RoleFollower {
@@ -206,14 +210,14 @@ func TestFollowerWritesFenced(t *testing.T) {
 
 func TestFollowerConvergesByPull(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
 
 	// Commit two batches before the follower exists: it must bootstrap
 	// from the bundle, then stream the rest.
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
 	submitWrite(t, p, "w2", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 100, 4)})
 
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: 5 * time.Millisecond})
 	if got := f.LastLSN(); got != 2 {
 		t.Fatalf("bootstrap position = %d, want 2 (bundle carries both commits)", got)
@@ -227,8 +231,8 @@ func TestFollowerConvergesByPull(t *testing.T) {
 	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatalf("bundles differ after convergence (%d vs %d bytes)", len(pb), len(fb))
 	}
-	pf, _ := Fingerprint(p.eng)
-	ff, _ := Fingerprint(f.eng)
+	pf, _ := Fingerprint(p.shard.Engine())
+	ff, _ := Fingerprint(f.shard.Engine())
 	if pf != ff {
 		t.Fatalf("fingerprints differ: %016x vs %016x", pf, ff)
 	}
@@ -256,11 +260,11 @@ func TestFollowerWorkersMismatch(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
 	popts, fopts := testOptions(), testOptions()
 	popts.Workers, fopts.Workers = 1, 2
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: popts, Bootstrap: func() (*midas.Engine, error) {
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: tenant.Options{Engine: popts}, Bootstrap: func() (*midas.Engine, error) {
 		return midas.New(dataset.EMolLike().GenerateDB(20, 3), popts), nil
 	}})
 	// Pull parked: the records are installed below, synchronously.
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: fopts,
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: tenant.Options{Engine: fopts},
 		Upstream: nodeTransport{peer: p}, PollInterval: time.Hour})
 
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(3, 0, 6)})
@@ -287,10 +291,10 @@ func TestFollowerConvergesByPush(t *testing.T) {
 	// transport errors until the follower is up, and the ship loop's
 	// backoff absorbs that window.
 	lt := &lazyTransport{}
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap,
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap,
 		Peers: map[string]Transport{"f": lt}, ShipBackoff: time.Millisecond})
 	// Pull effectively disabled: the push stream must carry convergence.
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: time.Hour})
 	lt.set(f)
 
@@ -305,10 +309,10 @@ func TestFollowerConvergesByPush(t *testing.T) {
 
 func TestPromotionFencesOldPrimary(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
 
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: 5 * time.Millisecond})
 	waitConverged(t, f, 1)
 
@@ -371,8 +375,8 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 
 func TestFollowerRestartReplaysSuffix(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: 5 * time.Millisecond})
 
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
@@ -392,7 +396,7 @@ func TestFollowerRestartReplaysSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2 := NewNode(Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f2 := NewNode(Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -414,10 +418,10 @@ func TestFollowerRestartReplaysSuffix(t *testing.T) {
 
 func TestDivergenceQuarantinesAndRebootstraps(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
 
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream: nodeTransport{peer: p}, PollInterval: time.Hour})
 	if f.LastLSN() != 1 {
 		t.Fatalf("bootstrap position = %d, want 1", f.LastLSN())
@@ -503,7 +507,7 @@ func TestBundlePositionParses(t *testing.T) {
 
 func TestStatusDocument(t *testing.T) {
 	sim := vfs.NewSim()
-	p := startNode(t, Config{FS: sim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap,
+	p := startNode(t, Config{FS: sim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap,
 		PrimaryURL: "http://primary:8080"})
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(1, 0, 5)})
 	st := p.Status()

@@ -23,13 +23,13 @@ import (
 // smoke step runs exactly this test.
 func TestSmokeFailoverHTTP(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
-	p := startNode(t, Config{FS: psim, Dir: "p", Options: testOptions(), Bootstrap: testBootstrap})
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
 	psrv := httptest.NewServer(p.Handler())
 	defer psrv.Close()
 
 	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
 
-	f := startNode(t, Config{FS: fsim, Dir: "f", Options: testOptions(),
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
 		Upstream:     &HTTPTransport{Base: psrv.URL},
 		PollInterval: 5 * time.Millisecond, PrimaryURL: psrv.URL})
 	fsrv := httptest.NewServer(f.Handler())

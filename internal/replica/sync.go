@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
-	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/internal/backoff"
 	"github.com/midas-graph/midas/internal/snapshot"
 	"github.com/midas-graph/midas/internal/store"
@@ -36,9 +34,7 @@ func (n *Node) shipLoop(peer string, tr Transport) {
 			}
 			continue
 		}
-		n.mu.RLock()
-		log := n.log
-		n.mu.RUnlock()
+		log := n.currentLog()
 		if log == nil || !log.Wait(n.runCtx.Done(), acked) {
 			if n.runCtx.Err() != nil {
 				return
@@ -54,7 +50,7 @@ func (n *Node) shipLoop(peer string, tr Transport) {
 				acked = log.FirstLSN()
 				continue
 			}
-			n.logf("replica: ship %s: reading log after %d: %v", peer, acked, err)
+			n.logger.Warnf("replica: ship %s: reading log after %d: %v", peer, acked, err)
 			failures++
 			if !sleepCtx(n.runCtx, backoff.Delay(n.cfg.ShipBackoff, "ship:"+peer, failures)) {
 				return
@@ -72,7 +68,7 @@ func (n *Node) shipLoop(peer string, tr Transport) {
 			if n.tel != nil {
 				n.tel.shipErrors.Inc()
 			}
-			n.logf("replica: ship %s: push after %d failed (attempt %d): %v", peer, acked, failures, err)
+			n.logger.Warnf("replica: ship %s: push after %d failed (attempt %d): %v", peer, acked, failures, err)
 			if !sleepCtx(n.runCtx, backoff.Delay(n.cfg.ShipBackoff, "ship:"+peer, failures)) {
 				return
 			}
@@ -127,19 +123,19 @@ func (n *Node) pullLoop() {
 			if _, aerr := n.applyRecords(recs); aerr != nil {
 				if errors.Is(aerr, ErrDiverged) {
 					if rerr := n.rebootstrap(); rerr != nil {
-						n.logf("replica: re-bootstrap after divergence failed: %v", rerr)
+						n.logger.Warnf("replica: re-bootstrap after divergence failed: %v", rerr)
 					}
 					continue
 				}
-				n.logf("replica: applying pulled records: %v", aerr)
+				n.logger.Warnf("replica: applying pulled records: %v", aerr)
 				failures++
 			}
 		case errors.Is(err, store.ErrCompacted):
 			// The upstream no longer retains our next record: only a
 			// fresh bundle can catch us up.
-			n.logf("replica: upstream compacted past LSN %d; re-bootstrapping", n.LastLSN())
+			n.logger.Infof("replica: upstream compacted past LSN %d; re-bootstrapping", n.LastLSN())
 			if rerr := n.rebootstrap(); rerr != nil {
-				n.logf("replica: re-bootstrap failed: %v", rerr)
+				n.logger.Warnf("replica: re-bootstrap failed: %v", rerr)
 				failures++
 			}
 		case n.runCtx.Err() != nil:
@@ -149,7 +145,7 @@ func (n *Node) pullLoop() {
 			if n.tel != nil {
 				n.tel.pullErrors.Inc()
 			}
-			n.logf("replica: pulling from upstream after %d failed (attempt %d): %v", n.LastLSN(), failures, err)
+			n.logger.Warnf("replica: pulling from upstream after %d failed (attempt %d): %v", n.LastLSN(), failures, err)
 		}
 		if failures > 0 {
 			if !sleepCtx(n.runCtx, backoff.Delay(n.cfg.ShipBackoff, "pull", failures)) {
@@ -186,10 +182,10 @@ func (n *Node) ReceivePush(req PushRequest) PushResponse {
 	if _, err := n.applyRecords(req.Records); err != nil {
 		if errors.Is(err, ErrDiverged) {
 			if rerr := n.rebootstrap(); rerr != nil {
-				n.logf("replica: re-bootstrap after divergence failed: %v", rerr)
+				n.logger.Warnf("replica: re-bootstrap after divergence failed: %v", rerr)
 			}
 		} else if !errors.Is(err, errGap) {
-			n.logf("replica: applying pushed records: %v", err)
+			n.logger.Warnf("replica: applying pushed records: %v", err)
 		}
 		// Whatever happened, the ack's AppliedLSN tells the sender where
 		// to resume; a gap acks the pre-gap position (rewind), an
@@ -202,13 +198,14 @@ func (n *Node) ReceivePush(req PushRequest) PushResponse {
 // applyRecords installs shipped records in LSN order: duplicate LSNs
 // are skipped (at-least-once delivery), a gap stops the batch (the
 // sender rewinds from the ack), an epoch regression is fenced. Each
-// data record is appended durably to the local log, re-applied through
-// the pipeline (FromReplica — IDs verbatim, fencing bypassed), its
-// bundle persisted at the new position, and its recomputed fingerprint
-// compared against the primary's: a mismatch returns ErrDiverged.
+// record goes through install: appended durably to the local log,
+// re-applied through the pipeline, its bundle persisted at the new
+// position, and its recomputed fingerprint compared against the
+// primary's — a mismatch returns ErrDiverged.
 func (n *Node) applyRecords(recs []store.RepRecord) (int, error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
+	log := n.currentLog()
 	installed := 0
 	for _, rec := range recs {
 		applied := n.lastApplied.Load()
@@ -222,60 +219,10 @@ func (n *Node) applyRecords(recs []store.RepRecord) (int, error) {
 			return installed, fmt.Errorf("replica: record at LSN %d carries stale epoch %d < %d: %w",
 				rec.LSN, rec.Epoch, n.Epoch(), store.ErrLogSealed)
 		}
-		n.mu.RLock()
-		eng, pipe, log := n.eng, n.pipe, n.log
-		n.mu.RUnlock()
-		if err := log.AppendRecord(rec); err != nil {
+		if err := n.install(log, rec); err != nil {
 			return installed, err
 		}
-		if rec.Kind == store.RecEpoch {
-			n.epoch.Store(rec.Epoch)
-			n.lastApplied.Store(rec.LSN)
-			if err := n.saveBundle(eng, rec.LSN, rec.Epoch); err != nil {
-				return installed, err
-			}
-			installed++
-			continue
-		}
-		u, patterns, err := DecodeUpdate(rec.Data)
-		if err != nil {
-			return installed, err
-		}
-		lsn, epoch := rec.LSN, rec.Epoch
-		tkt, err := pipe.Submit(snapshot.Batch{
-			Name:            rec.Name,
-			Update:          u,
-			FromReplica:     true,
-			ReplicaPatterns: patterns,
-			After: func(midas.MaintenanceReport) error {
-				return n.saveBundle(eng, lsn, epoch)
-			},
-		})
-		if err != nil {
-			return installed, err
-		}
-		res := <-tkt.Done
-		if res.Err != nil {
-			return installed, fmt.Errorf("replica: installing LSN %d: %w", rec.LSN, res.Err)
-		}
-		// The pipeline is quiescent between our submissions (applyMu
-		// serialises all producers on a follower) and the ticket receive
-		// orders this read after the apply, so fingerprinting here is
-		// race-free.
-		fpr, err := Fingerprint(eng)
-		if err != nil {
-			return installed, err
-		}
-		if fpr != rec.Fingerprint {
-			if n.tel != nil {
-				n.tel.divergences.Inc()
-			}
-			return installed, fmt.Errorf("replica: LSN %d fingerprint %016x, primary says %016x: %w",
-				rec.LSN, fpr, rec.Fingerprint, ErrDiverged)
-		}
-		n.lastApplied.Store(rec.LSN)
-		n.epoch.Store(rec.Epoch)
-		if n.tel != nil {
+		if rec.Kind == store.RecData && n.tel != nil {
 			n.tel.installed.Inc()
 		}
 		installed++
@@ -284,11 +231,12 @@ func (n *Node) applyRecords(recs []store.RepRecord) (int, error) {
 }
 
 // rebootstrap discards the follower's state — quarantined, never
-// deleted — and reinstalls from the upstream's current bundle: fresh
-// engine, fresh seeded log, a new pipeline publishing through the SAME
-// handle (its generation counter is monotonic, so readers see a normal
-// generation bump, not a reset). Triggered by fingerprint divergence
-// and by the upstream compacting past our position.
+// deleted — and reinstalls the upstream's current bundle through the
+// path a cold follower takes: a fresh log seeded at the bundle's
+// position, and one pipeline batch that swaps the loaded engine in,
+// saves it and publishes it through the same handle (readers see a
+// normal generation bump, not a reset). Triggered by fingerprint
+// divergence and by the upstream compacting past our position.
 func (n *Node) rebootstrap() error {
 	if n.cfg.Upstream == nil {
 		return fmt.Errorf("replica: cannot re-bootstrap without an upstream")
@@ -299,62 +247,32 @@ func (n *Node) rebootstrap() error {
 		n.tel.rebootstraps.Inc()
 	}
 
-	n.mu.RLock()
-	oldPipe, oldLog := n.pipe, n.log
-	n.mu.RUnlock()
-	stopCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err := oldPipe.Stop(stopCtx)
-	cancel()
-	if err != nil {
-		n.logf("replica: draining pipeline before re-bootstrap: %v", err)
-	}
-	oldLog.Close()
-
-	// Quarantine the diverged state for post-mortem; a rename failure
-	// on a file that never existed is fine.
-	for _, p := range []string{n.bundlePath, n.bundlePath + ".prev", n.logPath} {
-		if err := n.fsys.Rename(p, p+".diverged"); err == nil {
-			n.logf("replica: quarantined %s", p+".diverged")
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(n.runCtx, 2*time.Minute)
-	defer cancel()
-	br, err := n.cfg.Upstream.Bundle(ctx)
-	if err != nil {
-		return fmt.Errorf("replica: fetching bundle for re-bootstrap: %w", err)
-	}
-	eng, meta, err := midas.LoadStateMeta(byteReader(br.Data), n.cfg.Options.Workers)
-	if err != nil {
-		return fmt.Errorf("replica: re-bootstrap bundle: %w", err)
-	}
-	lsn, epoch := positionFromMeta(meta)
-	if err := store.SaveBundle(n.fsys, n.bundlePath, func(w io.Writer) error {
-		_, werr := w.Write(br.Data)
-		return werr
-	}); err != nil {
-		return err
-	}
+	n.currentLog().Close()
+	n.quarantine(n.bundlePath, n.bundlePath+".prev", n.logPath)
 	log, err := store.OpenRepLogFS(n.fsys, n.logPath)
 	if err != nil {
 		return err
 	}
-	if lsn > 0 {
-		if err := log.Seed(lsn, epoch); err != nil {
-			log.Close()
-			return err
-		}
-	}
-	pipe := n.buildPipeline(eng, log)
-
 	n.mu.Lock()
-	n.eng, n.pipe, n.log = eng, pipe, log
+	n.log = log
 	n.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(n.runCtx, 2*time.Minute)
+	defer cancel()
+	// The fresh log is empty, so the install seeds it and never
+	// replaces it.
+	eng, lsn, epoch, err := n.installUpstreamBundle(ctx, &log)
+	if err != nil {
+		return err
+	}
+	eng.SetTelemetry(n.cfg.Shard.Telemetry)
+	n.installMeta = positionMeta(lsn, epoch)
+	if err := n.apply(snapshot.Batch{Name: "rebootstrap", FromReplica: true, Engine: eng}); err != nil {
+		return fmt.Errorf("replica: installing re-bootstrap engine: %w", err)
+	}
 	n.lastApplied.Store(lsn)
 	n.epoch.Store(epoch)
-	n.handle.Publish(snapshot.Build(eng, snapshot.BuildOptions{RenderSVG: n.cfg.RenderSVG}))
-	pipe.Start()
-	n.logf("replica: re-bootstrapped from upstream bundle at LSN %d, epoch %d", lsn, epoch)
+	n.logger.Infof("replica: re-bootstrapped from upstream bundle at LSN %d, epoch %d", lsn, epoch)
 	return nil
 }
 

@@ -15,8 +15,6 @@ type nodeTelemetry struct {
 	rebootstraps *telemetry.Counter // midas_replica_rebootstraps_total
 	promotions   *telemetry.Counter // midas_replica_promotions_total
 	demotions    *telemetry.Counter // midas_replica_demotions_total
-
-	saveSeconds *telemetry.Histogram // midas_state_save_seconds
 }
 
 // setTelemetry registers the replication families on reg: role, epoch
@@ -62,7 +60,5 @@ func (n *Node) setTelemetry(reg *telemetry.Registry) {
 			"Follower-to-primary promotions (epoch bumps)."),
 		demotions: reg.NewCounter("midas_replica_demotions_total",
 			"Primary demotions after observing a higher epoch."),
-		saveSeconds: reg.NewHistogram("midas_state_save_seconds",
-			"Wall-clock seconds per state-bundle save.", nil),
 	}
 }

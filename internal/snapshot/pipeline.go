@@ -62,6 +62,11 @@ type Batch struct {
 	// ReplicaPatterns is the primary's post-apply pattern set, installed
 	// verbatim. Only read when FromReplica is set.
 	ReplicaPatterns []*graph.Graph
+	// Engine, when set, replaces the pipeline's engine instead of
+	// applying Update: a replication follower's re-bootstrap installs
+	// the engine it loaded from its upstream's bundle this way, so the
+	// pipeline, its handle and its metrics outlive the swap.
+	Engine *midas.Engine
 }
 
 // Result is the terminal outcome of one submitted batch, delivered
@@ -167,7 +172,9 @@ type Config struct {
 // budget is spent — through all of which readers keep loading the last
 // good generation.
 type Pipeline struct {
-	eng    *midas.Engine
+	// eng is the engine batches apply to; only a Batch.Engine swap on
+	// the maintenance goroutine replaces it.
+	eng    atomic.Pointer[midas.Engine]
 	handle *Handle
 	cfg    Config
 
@@ -221,8 +228,7 @@ func NewPipeline(eng *midas.Engine, handle *Handle, cfg Config) *Pipeline {
 		size = 64
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Pipeline{
-		eng:        eng,
+	p := &Pipeline{
 		handle:     handle,
 		cfg:        cfg,
 		queue:      make(chan *job, size),
@@ -231,10 +237,17 @@ func NewPipeline(eng *midas.Engine, handle *Handle, cfg Config) *Pipeline {
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
+	p.eng.Store(eng)
+	return p
 }
 
 // Handle returns the generation pointer this pipeline publishes to.
 func (p *Pipeline) Handle() *Handle { return p.handle }
+
+// Engine returns the engine batches apply to. Read its state only
+// while no batch is in flight (from a hook on the maintenance
+// goroutine, or while every producer is quiesced).
+func (p *Pipeline) Engine() *midas.Engine { return p.eng.Load() }
 
 func (p *Pipeline) maxAttempts() int {
 	if p.cfg.MaxAttempts <= 0 {
@@ -531,11 +544,14 @@ func (p *Pipeline) attempt(ctx context.Context, j *job) (err error) {
 		}
 		var rep midas.MaintenanceReport
 		var err error
-		if j.batch.FromReplica {
-			rep, err = p.eng.ApplyReplicated(ctx, j.batch.Update, j.batch.ReplicaPatterns)
-		} else {
+		switch {
+		case j.batch.Engine != nil:
+			p.eng.Store(j.batch.Engine)
+		case j.batch.FromReplica:
+			rep, err = p.Engine().ApplyReplicated(ctx, j.batch.Update, j.batch.ReplicaPatterns)
+		default:
 			p.remapInsertIDs(j.batch.Update)
-			rep, err = p.eng.MaintainContext(ctx, j.batch.Update)
+			rep, err = p.Engine().MaintainContext(ctx, j.batch.Update)
 		}
 		if err != nil {
 			return err
@@ -563,7 +579,7 @@ func (p *Pipeline) attempt(ctx context.Context, j *job) (err error) {
 // attempt restores the database, so the same collisions resolve the
 // same way.
 func (p *Pipeline) remapInsertIDs(u graph.Update) {
-	db := p.eng.DB()
+	db := p.Engine().DB()
 	next := db.NextID()
 	for _, g := range u.Insert {
 		if db.Has(g.ID) {
@@ -588,7 +604,7 @@ func (p *Pipeline) publish(j *job) (gen uint64) {
 	if p.tel != nil {
 		defer p.tel.publishSeconds.Start().End()
 	}
-	s := Build(p.eng, BuildOptions{
+	s := Build(p.Engine(), BuildOptions{
 		RenderSVG: p.cfg.RenderSVG,
 		Degraded:  p.cfg.Degraded,
 		Report:    j.rep,

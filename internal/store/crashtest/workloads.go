@@ -423,15 +423,15 @@ const (
 	followerLog   = "d/freplog"
 )
 
-// followerInstallWorkload models the follower's cold-start install
-// path: fetch the primary's bundle (here a constant — the upstream is
-// not on the swept filesystem), seed a fresh replication log at the
-// bundle's position, then per streamed record append it to the log and
-// roll the bundle forward. A crash at any point must leave the
+// followerInstallWorkload models the follower's cold start in the
+// order replica.Node.Start runs it: fetch the primary's bundle (here a
+// constant — the upstream is not on the swept filesystem), seed a
+// fresh replication log at the bundle's position, save the bundle
+// there (the boot save), then per streamed record append it to the log
+// and roll the bundle forward. A crash at any point must leave the
 // follower able to restart the catch-up with no manual repair: the
 // recovery path is open-with-salvage on both artifacts, then replay
-// the log suffix past the bundle's LSN — exactly the node's
-// replaySuffix discipline.
+// the log suffix past the bundle's LSN — the node's boot discipline.
 func followerInstallWorkload() Workload {
 	const (
 		upLSN   = 2 // the upstream bundle's position
@@ -466,9 +466,8 @@ func followerInstallWorkload() Workload {
 		Name:    "follower-install",
 		Prepare: func(fsys vfs.FS) error { return nil },
 		Steps: []Step{
-			// Install the fetched upstream bundle.
-			func(fsys vfs.FS) error { return saveAt(fsys, "u", upLSN) },
-			// Seed a fresh log at the bundle's position.
+			// Seed a fresh log at the fetched bundle's position. A crash
+			// here leaves a seeded log and no bundle.
 			func(fsys vfs.FS) error {
 				l, err := store.OpenRepLogFS(fsys, followerLog)
 				if err != nil {
@@ -477,6 +476,8 @@ func followerInstallWorkload() Workload {
 				defer l.Close()
 				return l.Seed(upLSN, upEpoch)
 			},
+			// The boot save: the fetched bundle at its position.
+			func(fsys vfs.FS) error { return saveAt(fsys, "u", upLSN) },
 			// Per record: durable log append, then roll the bundle
 			// forward. A crash between the two leaves the log ahead of
 			// the bundle — the replay suffix closes the gap.
@@ -491,11 +492,13 @@ func followerInstallWorkload() Workload {
 
 // recoverFollower is the follower's restart path: salvage the
 // replication log (torn tail quarantined and truncated) and the bundle
-// (torn save rolled back to the previous generation), re-seed an empty
+// (torn save rolled back to the previous generation), seed an empty
 // log at the bundle's position, replay the log suffix past the
-// bundle's LSN, and persist the rolled-forward bundle so a second
-// recovery is a no-op. A follower with no bundle at all restarts the
-// catch-up from scratch — a legal state, never an error.
+// bundle's LSN and persist the rolled-forward bundle — or, with no
+// suffix, save the bundle at its position (the boot save) — so a
+// second recovery lands on the same state. A follower with no bundle
+// at all restarts the catch-up from scratch — a legal state, never an
+// error.
 func recoverFollower(fsys vfs.FS) (string, error) {
 	l, err := store.OpenRepLogFS(fsys, followerLog)
 	if err != nil {
@@ -505,8 +508,9 @@ func recoverFollower(fsys vfs.FS) (string, error) {
 
 	data, _, err := store.LoadBundle(fsys, followerState, validateBundle)
 	if errors.Is(err, os.ErrNotExist) || errors.Is(err, store.ErrCorrupt) {
-		// Nothing installed before the crash — or the very first
-		// install was torn with no previous generation to salvage.
+		// Nothing installed before the crash (at most a seeded log) —
+		// or the very first install was torn with no previous generation
+		// to salvage.
 		// Unlike a primary's state, the follower's is reproducible: it
 		// re-fetches the upstream bundle and restarts the catch-up from
 		// scratch.
@@ -522,7 +526,8 @@ func recoverFollower(fsys vfs.FS) (string, error) {
 	lsn := uint64(m.lastSum)
 
 	if l.LastLSN() == 0 {
-		// The crash hit between the bundle install and the log seed.
+		// An empty log starts at the bundle's position, as Start seeds
+		// it.
 		if err := l.Seed(lsn, 1); err != nil {
 			return "", err
 		}
@@ -538,14 +543,12 @@ func recoverFollower(fsys vfs.FS) (string, error) {
 		m.content += "+" + string(rec.Data)
 		lsn = rec.LSN
 	}
-	if len(suffix) > 0 {
-		if err := store.SaveBundle(fsys, followerState, func(w io.Writer) error {
-			_, err := w.Write(encodeBundle(bundleMeta{
-				content: m.content, last: fmt.Sprintf("lsn%d", lsn), lastSum: uint32(lsn)}))
-			return err
-		}); err != nil {
-			return "", err
-		}
+	if err := store.SaveBundle(fsys, followerState, func(w io.Writer) error {
+		_, err := w.Write(encodeBundle(bundleMeta{
+			content: m.content, last: fmt.Sprintf("lsn%d", lsn), lastSum: uint32(lsn)}))
+		return err
+	}); err != nil {
+		return "", err
 	}
 	return fmt.Sprintf("state=%s lsn=%d log=%d..%d@%d",
 		m.content, lsn, l.FirstLSN(), l.LastLSN(), l.Epoch()), nil

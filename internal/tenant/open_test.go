@@ -239,3 +239,29 @@ func TestRejectedHTTPBatchLeavesJournalEmpty(t *testing.T) {
 		t.Fatalf("journal size = %d bytes, want 0", size)
 	}
 }
+
+// TestDrainErrorNamesOnlyTenants pins how a failed final save is
+// reported: the single-tenant shard's error carries no tenant prefix,
+// and a tenant's names the tenant.
+func TestDrainErrorNamesOnlyTenants(t *testing.T) {
+	for id, want := range map[string]string{"": "final save: ", "aids": "tenant aids: final save: "} {
+		stateDir := filepath.Join(t.TempDir(), "state")
+		if err := os.Mkdir(stateDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := OpenShard(id, Paths{Save: filepath.Join(stateDir, "panel.state")}, memoryOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The final save cannot be written once its directory is gone.
+		if err := os.RemoveAll(stateDir); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = sh.Drain(ctx)
+		cancel()
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("shard %q: drain err = %v, want prefix %q", id, err, want)
+		}
+	}
+}

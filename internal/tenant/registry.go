@@ -12,6 +12,7 @@ import (
 
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/graph"
+	"github.com/midas-graph/midas/internal/snapshot"
 	"github.com/midas-graph/midas/internal/telemetry"
 )
 
@@ -74,6 +75,16 @@ type Options struct {
 	// tenant starts as an empty panel its spool or POST /maintain
 	// populates.
 	NewEngine func(id string, opts midas.Options) (*midas.Engine, bool, error)
+	// Admit, when set, is the shard pipeline's admission hook
+	// (snapshot.Config.Admit): a replicated node fences client writes
+	// with it while it is a follower or a demoted primary.
+	Admit func(snapshot.Batch) error
+	// Commit, when set, runs on the maintenance goroutine after each
+	// applied batch, before its bundle save, and the metadata it returns
+	// is merged into the bundle's: a replication primary appends the
+	// batch to its log here and returns the new position. A failed save
+	// re-runs it, so it must be idempotent.
+	Commit func(snapshot.Batch) (map[string]string, error)
 }
 
 // shardOptions merges a tenant's overrides over the process defaults,
@@ -288,7 +299,7 @@ func (r *Registry) Add(id string, ov Overrides) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.opts.logf("tenant %s: attached (%d graphs, %d patterns)", id, sh.engine.DB().Len(), len(sh.engine.Patterns()))
+	r.opts.logf("tenant %s: attached (%d graphs, %d patterns)", id, sh.Engine().DB().Len(), len(sh.Engine().Patterns()))
 	return sh, nil
 }
 

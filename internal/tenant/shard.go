@@ -1,15 +1,16 @@
 // Package tenant runs MIDAS serving stacks. A Shard is the one
 // single-node stack (engine, snapshot handle + maintenance pipeline,
 // panel server, save bundle, journal, spool watcher), opened from
-// explicit paths by OpenShard; single-tenant midas-serve runs one
-// directly. For the multi-GUI deployment the paper motivates (one
-// canned pattern set per dataset: PubChem, eMolecules, AIDS, ...), a
-// Registry keys shards by dataset ID, each rooted under its own
-// directory, and a Router resolves /t/{tenant}/... to them. Isolation
-// is the design center: shards share nothing but the process-wide
-// worker Budget and the telemetry registry (through per-tenant label
-// views), so one tenant's major batch, poisoned spool file or crash
-// salvage never perturbs another tenant's reads.
+// explicit paths by OpenShard; single-tenant midas-serve and every
+// replicated node run one directly. For the multi-GUI deployment the
+// paper motivates (one canned pattern set per dataset: PubChem,
+// eMolecules, AIDS, ...), a Registry keys shards by dataset ID, each
+// rooted under its own directory, and a Router resolves
+// /t/{tenant}/... to them. Isolation is the design center: shards
+// share nothing but the process-wide worker Budget and the telemetry
+// registry (through per-tenant label views), so one tenant's major
+// batch, poisoned spool file or crash salvage never perturbs another
+// tenant's reads.
 package tenant
 
 import (
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"strconv"
@@ -50,7 +52,8 @@ type Paths struct {
 	// interrupted save.
 	Restore string
 	// Save is where the state bundle is written after every applied
-	// batch (before its generation publishes) and at drain.
+	// batch (before its generation publishes) and at drain, when state
+	// is left unsaved.
 	Save string
 	// Journal is the spool watcher's write-ahead journal, giving spool
 	// batches exactly-once application across crashes. It belongs to
@@ -62,20 +65,22 @@ type Paths struct {
 	// DB is the database (text format) bootstrapped when no bundle
 	// restores.
 	DB string
+	// FS is the filesystem Restore and Save live on (nil = vfs.OS);
+	// replicated nodes run their tests on a simulated one.
+	FS vfs.FS
 }
 
 // Shard is one complete single-node serving stack: engine, snapshot
 // handle and maintenance pipeline, panel server, save bundle, journal
 // and spool watcher. All fields are wired at open and immutable
 // afterwards; lifecycle state (draining) is atomic. Tenants get theirs
-// through Registry.Add; single-tenant midas-serve opens one directly.
+// through Registry.Add; single-tenant midas-serve and replicated nodes
+// (internal/replica) open one directly.
 type Shard struct {
 	// ID is the tenant/dataset identifier (ValidateID-clean), or ""
 	// for the single-tenant shard.
 	ID string
 
-	engine   *midas.Engine
-	handle   *snapshot.Handle
 	pipe     *snapshot.Pipeline
 	server   *panel.Server
 	handler  http.Handler
@@ -84,10 +89,16 @@ type Shard struct {
 	degraded bool
 	logger   *telemetry.Logger
 
+	fsys        vfs.FS
 	savePath    string
 	saveSeconds *telemetry.Histogram
 	metaMu      sync.Mutex
 	lastMeta    map[string]string
+	// unsaved is set while the engine may hold state the bundle at
+	// savePath lacks: from open until the first save, and from each
+	// committed batch until its save succeeds. Drain's final save runs
+	// only while it is set.
+	unsaved atomic.Bool
 
 	stopWatch chan struct{}
 	watchWG   sync.WaitGroup
@@ -148,8 +159,12 @@ func stateRank(state string) int {
 // happens before any goroutine starts, so a failed open leaves nothing
 // running.
 func OpenShard(id string, p Paths, o Options) (*Shard, error) {
-	sh := &Shard{ID: id, opts: o.Engine, logger: o.Logger, savePath: p.Save, lastMeta: map[string]string{}}
-	meta, err := sh.openEngine(p, &o)
+	if p.FS == nil {
+		p.FS = vfs.OS
+	}
+	sh := &Shard{ID: id, opts: o.Engine, logger: o.Logger, fsys: p.FS, savePath: p.Save, lastMeta: map[string]string{}}
+	sh.unsaved.Store(true)
+	eng, meta, err := sh.openEngine(p, &o)
 	if err != nil {
 		return nil, sh.wrap(err)
 	}
@@ -168,7 +183,7 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 		sh.journal = j
 		// Compact the journal once it outgrows the threshold, after
 		// every successful maintenance.
-		sh.engine.SetAfterMaintain(func(midas.MaintenanceReport) {
+		eng.SetAfterMaintain(func(midas.MaintenanceReport) {
 			if ran, err := j.MaybeCheckpoint(); err != nil {
 				sh.logger.Errorf(sh.prefix("journal checkpoint: %v"), err)
 			} else if ran {
@@ -186,6 +201,7 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 		// A degraded start is stamped into every published snapshot, so
 		// clients see X-Midas-Degraded until an operator intervenes.
 		Degraded: sh.degraded,
+		Admit:    o.Admit,
 		Logf: func(format string, args ...interface{}) {
 			sh.logger.Warnf(sh.prefix(format), args...)
 		},
@@ -194,20 +210,31 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 		weight := sh.opts.Workers
 		cfg.Gate = func(ctx context.Context) (func(), error) { return b.Acquire(ctx, weight) }
 	}
-	if sh.savePath != "" {
-		// Durability: the bundle lands before the batch's generation
-		// publishes and before an HTTP client sees its 200.
-		cfg.OnApplied = func(snapshot.Batch, midas.MaintenanceReport) error { return sh.saveBundle() }
+	if sh.savePath != "" || o.Commit != nil {
+		// Durability: the batch is committed and its bundle lands
+		// before its generation publishes and before an HTTP client sees
+		// its 200.
+		cfg.OnApplied = func(b snapshot.Batch, _ midas.MaintenanceReport) error {
+			var meta map[string]string
+			if o.Commit != nil {
+				var err error
+				if meta, err = o.Commit(b); err != nil {
+					return err
+				}
+			}
+			sh.unsaved.Store(true)
+			return sh.Save(meta)
+		}
 	}
-	sh.handle = snapshot.NewHandle()
-	sh.pipe = snapshot.NewPipeline(sh.engine, sh.handle, cfg)
-	sh.server = panel.New(sh.handle, func() *snapshot.Pipeline { return sh.pipe })
+	handle := snapshot.NewHandle()
+	sh.pipe = snapshot.NewPipeline(eng, handle, cfg)
+	sh.server = panel.New(sh.pipe)
 	sh.server.SetLogger(o.Logger)
 	sh.server.SetRequestTimeout(o.RequestTimeout)
 	sh.server.SetMaxInflight(o.MaxInflight)
 	if reg := o.Telemetry; reg != nil {
 		sh.server.SetTelemetry(reg)
-		sh.engine.SetTelemetry(reg)
+		eng.SetTelemetry(reg)
 		sh.pipe.SetTelemetry(reg)
 		sh.saveSeconds = reg.NewHistogram("midas_state_save_seconds",
 			"Wall-clock seconds per state-bundle save.", nil)
@@ -220,7 +247,7 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 				return 0
 			})
 	}
-	sh.handle.Publish(snapshot.Build(sh.engine, snapshot.BuildOptions{RenderSVG: renderSVG, Degraded: sh.degraded}))
+	handle.Publish(snapshot.Build(eng, snapshot.BuildOptions{RenderSVG: renderSVG, Degraded: sh.degraded}))
 	sh.pipe.Start()
 	// Built once here so Router dispatch stays allocation-free.
 	sh.handler = sh.server.Handler()
@@ -261,15 +288,15 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 	return sh, nil
 }
 
-// openEngine sets the shard's engine from the first source OpenShard
-// lists and returns the restored bundle's metadata. Only unrecoverable
-// corruption marks the shard degraded.
-func (sh *Shard) openEngine(p Paths, o *Options) (map[string]string, error) {
+// openEngine returns the shard's engine from the first source
+// OpenShard lists, with the restored bundle's metadata. Only
+// unrecoverable corruption marks the shard degraded.
+func (sh *Shard) openEngine(p Paths, o *Options) (*midas.Engine, map[string]string, error) {
 	var err error
 	if p.Restore != "" {
 		var data []byte
 		var rep store.SalvageReport
-		data, rep, err = store.LoadBundle(vfs.OS, p.Restore, midas.VerifyState)
+		data, rep, err = store.LoadBundle(p.FS, p.Restore, midas.VerifyState)
 		for _, q := range rep.Quarantined {
 			sh.logger.Warnf(sh.prefix("state salvage: quarantined %s"), q)
 		}
@@ -283,11 +310,12 @@ func (sh *Shard) openEngine(p Paths, o *Options) (map[string]string, error) {
 		if err == nil {
 			// Engine options come from the bundle header; only the
 			// wall-clock knob comes from the caller.
+			var eng *midas.Engine
 			var meta map[string]string
-			if sh.engine, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers); err == nil {
+			if eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers); err == nil {
 				sh.logger.Infof(sh.prefix("restored state: %d graphs, %d patterns, rebuilt in %v"),
-					sh.engine.DB().Len(), len(sh.engine.Patterns()), sh.engine.BootstrapTime())
-				return meta, nil
+					eng.DB().Len(), len(eng.Patterns()), eng.BootstrapTime())
+				return eng, meta, nil
 			}
 		}
 		switch {
@@ -297,37 +325,35 @@ func (sh *Shard) openEngine(p Paths, o *Options) (map[string]string, error) {
 		case errors.Is(err, os.ErrNotExist):
 			sh.logger.Infof(sh.prefix("no state bundle at %s yet"), p.Restore)
 		default:
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	switch {
 	case p.DB != "":
 		db, err := graph.ReadDatabaseFile(p.DB)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sh.logger.Infof(sh.prefix("bootstrapping over %d graphs..."), db.Len())
-		sh.engine = midas.New(db, sh.opts)
-		sh.logger.Infof(sh.prefix("selected %d patterns in %v"), len(sh.engine.Patterns()), sh.engine.BootstrapTime())
+		eng := midas.New(db, sh.opts)
+		sh.logger.Infof(sh.prefix("selected %d patterns in %v"), len(eng.Patterns()), eng.BootstrapTime())
+		return eng, nil, nil
 	case o.NewEngine != nil:
 		eng, degraded, err := o.NewEngine(sh.ID, sh.opts)
-		if err != nil {
-			return nil, err
-		}
-		sh.engine, sh.degraded = eng, sh.degraded || degraded
+		sh.degraded = sh.degraded || degraded
+		return eng, nil, err
 	case sh.degraded:
 		// Every generation of the bundle was corrupt and there is
 		// nothing to rebuild from. Serve an empty panel instead of
 		// crash-looping: the spool or POST /maintain can repopulate it,
 		// and the quarantined *.corrupt files hold the damage.
 		sh.logger.Warnf(sh.prefix("starting degraded with an empty database"))
-		sh.engine = midas.New(graph.NewDatabase(), sh.opts)
+		return midas.New(graph.NewDatabase(), sh.opts), nil, nil
 	case err != nil:
-		return nil, err
+		return nil, nil, err
 	default:
-		return nil, errors.New("no state bundle, database or engine hook to start from")
+		return nil, nil, errors.New("no state bundle, database or engine hook to start from")
 	}
-	return nil, nil
 }
 
 // prefix names the tenant in a log format; the single-tenant shard
@@ -347,20 +373,31 @@ func (sh *Shard) wrap(err error) error {
 	return fmt.Errorf("tenant %s: %w", sh.ID, err)
 }
 
-// saveBundle persists the shard's engine state generationally,
-// carrying the journal reconciliation metadata forward, timed into
-// midas_state_save_seconds.
-func (sh *Shard) saveBundle() error {
-	defer sh.saveSeconds.Start().End()
+// Save merges meta into the bundle metadata and persists the engine
+// state generationally, carrying the journal reconciliation and any
+// replication position forward, timed into midas_state_save_seconds.
+// Without a save path it only merges. Every applied batch saves
+// through it; a replicated node also calls it directly, while no batch
+// is in flight, for the saves no batch makes (start, promotion, epoch
+// records).
+func (sh *Shard) Save(meta map[string]string) error {
 	sh.metaMu.Lock()
-	m := make(map[string]string, len(sh.lastMeta))
-	for k, v := range sh.lastMeta {
-		m[k] = v
+	for k, v := range meta {
+		sh.lastMeta[k] = v
 	}
+	m := maps.Clone(sh.lastMeta)
 	sh.metaMu.Unlock()
-	return store.SaveBundle(vfs.OS, sh.savePath, func(w io.Writer) error {
-		return midas.SaveStateMeta(w, sh.engine, m)
+	if sh.savePath == "" {
+		return nil
+	}
+	defer sh.saveSeconds.Start().End()
+	err := store.SaveBundle(sh.fsys, sh.savePath, func(w io.Writer) error {
+		return midas.SaveStateMeta(w, sh.Engine(), m)
 	})
+	if err == nil {
+		sh.unsaved.Store(false)
+	}
+	return err
 }
 
 // Handler returns the shard's HTTP handler (the full panel route
@@ -370,13 +407,13 @@ func (sh *Shard) Handler() http.Handler { return sh.handler }
 // Server exposes the shard's panel server (tests, bench).
 func (sh *Shard) Server() *panel.Server { return sh.server }
 
-// Engine exposes the shard's engine (bench seeding; never mutate it
-// outside the pipeline).
-func (sh *Shard) Engine() *midas.Engine { return sh.engine }
+// Engine exposes the shard's live engine, the one its pipeline applies
+// batches to (never mutate it outside the pipeline).
+func (sh *Shard) Engine() *midas.Engine { return sh.pipe.Engine() }
 
 // Status reports the shard's health for /readyz and the admin API.
 func (sh *Shard) Status() Status {
-	h, pipe := sh.handle, sh.pipe
+	h, pipe := sh.pipe.Handle(), sh.pipe
 	st := Status{
 		ID:               sh.ID,
 		Generation:       h.Generation(),
@@ -411,7 +448,9 @@ func (sh *Shard) Draining() bool { return sh.draining.Load() }
 // watcher stops, queued maintenance finishes (bounded by ctx; past
 // the deadline the in-flight batch is cancelled and rolls back), the
 // journal is checkpointed and closed, and the state bundle is saved
-// so the final generation survives. Idempotent; later calls return
+// if the engine holds state no save has written (nothing saved since
+// open, or a committed batch whose save failed), so the final
+// generation survives. Idempotent; later calls return
 // the first outcome. After Drain the shard serves nothing — the
 // Registry detaches it before draining; midas-serve stops its
 // listener first.
@@ -422,19 +461,19 @@ func (sh *Shard) Drain(ctx context.Context) error {
 		close(sh.stopWatch)
 		sh.watchWG.Wait()
 		if err := sh.pipe.Stop(ctx); err != nil {
-			sh.drainErr = fmt.Errorf("tenant %s: pipeline drain: %w", sh.ID, err)
+			sh.drainErr = sh.wrap(fmt.Errorf("pipeline drain: %w", err))
 		}
 		if sh.journal != nil {
 			if err := sh.journal.Checkpoint(); err != nil && sh.drainErr == nil {
-				sh.drainErr = fmt.Errorf("tenant %s: journal checkpoint: %w", sh.ID, err)
+				sh.drainErr = sh.wrap(fmt.Errorf("journal checkpoint: %w", err))
 			}
 			if err := sh.journal.Close(); err != nil && sh.drainErr == nil {
-				sh.drainErr = fmt.Errorf("tenant %s: journal close: %w", sh.ID, err)
+				sh.drainErr = sh.wrap(fmt.Errorf("journal close: %w", err))
 			}
 		}
-		if sh.savePath != "" {
-			if err := sh.saveBundle(); err != nil && sh.drainErr == nil {
-				sh.drainErr = fmt.Errorf("tenant %s: final save: %w", sh.ID, err)
+		if sh.savePath != "" && sh.unsaved.Load() {
+			if err := sh.Save(nil); err != nil && sh.drainErr == nil {
+				sh.drainErr = sh.wrap(fmt.Errorf("final save: %w", err))
 			}
 		}
 	})
