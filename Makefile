@@ -58,14 +58,17 @@ fuzz:
 	$(GO) test ./internal/store -fuzz FuzzJournalAppendAfterReplay -fuzztime 30s
 	$(GO) test ./internal/index -fuzz FuzzIndexMaintenance -fuzztime 30s
 	$(GO) test ./internal/iso -fuzz FuzzMCCS -fuzztime 30s
+	$(GO) test ./internal/ged -fuzz FuzzExactGED -fuzztime 30s
 
 # The sequential/parallel differential suite and the index oracle suite
 # at a pinned GOMAXPROCS, the MCCS kernel against its map-based
-# reference search, plus the race detector over every parallelized
-# package (the CI gate for the determinism contract).
+# reference search, the exact GED search (distance, edit path and beam)
+# against its string-based reference, plus the race detector over every
+# parallelized package (the CI gate for the determinism contract).
 differential:
 	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|QueryIdentical|MidFanOut|AsyncCancel|UnderMaintenance|FuzzIndexMaintenance' . ./internal/core ./internal/cluster ./internal/index
 	$(GO) test -run 'MCCSMatchesReference|FuzzMCCS' ./internal/iso
+	$(GO) test -run 'ExactMatchesReference|ExactWithMappingMatchesReference|BeamMatchesReference|FuzzExactGED' ./internal/ged
 	$(GO) test -race -count=2 ./internal/cluster ./internal/iso ./internal/ged ./internal/parallel ./internal/index/...
 
 # Sequential vs -workers benchmark comparison (writes BENCH_PR5.json).

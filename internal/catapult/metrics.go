@@ -263,9 +263,9 @@ func SetCog(ps []*graph.Graph) float64 {
 // NOT look up the process-wide ged memo here: that cache outlives this
 // engine, and a warm hit would bypass the lb-prune in Div for a pair
 // this engine's own history never computed — the prune is part of the
-// algorithm (GED'_l is a heuristic bound, not guaranteed to sit below
-// the approximate distances), so the reference path and the memoised
-// path must skip exactly the same pairs.
+// algorithm (GED'_l is a heuristic bound that can exceed even the exact
+// distance), so the reference path and the memoised path must skip
+// exactly the same pairs.
 func (m *Metrics) distLookup(p, o *graph.Graph) (float64, bool) {
 	key := parallel.PairKey(p, o)
 	m.mu.Lock()
@@ -297,11 +297,12 @@ func (m *Metrics) Div(p *graph.Graph, others []*graph.Graph) float64 {
 		// memo, which returns exactly what DistanceCancel would.
 		d, ok := m.distLookup(p, o)
 		if !ok {
-			if m.Ix != nil {
+			if m.Ix != nil && best >= 0 {
 				// Tighter lower bound GED'_l prunes exact computations:
 				// if even the bound exceeds the current minimum, skip
-				// without caching (the bound is pair-specific).
-				if lb := m.Ix.TighterGED(p, o); best >= 0 && lb >= best {
+				// without caching (the bound is pair-specific). With no
+				// minimum yet there is nothing to prune against.
+				if m.Ix.TighterGED(p, o) >= best {
 					continue
 				}
 			}

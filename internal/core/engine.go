@@ -187,8 +187,10 @@ type Engine struct {
 	patterns      []*graph.Graph
 	nextPatternID int
 
-	// sigma is the approximation-ratio lower bound carried across scans
-	// (Lemma 6.3); it starts at the SWAP_α base of 0.25.
+	// sigma is the approximation-ratio lower bound of Lemma 6.3. It
+	// starts at the SWAP_α base of 0.25 in a fresh or restored engine
+	// and is carried across scans and across Maintain calls, so later
+	// scans use κ = 1/(k+2) after k updates (multiScanSwap).
 	sigma float64
 
 	// logWeight, when set, scales pattern scores during swapping by a

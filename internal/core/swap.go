@@ -20,8 +20,14 @@ type scored struct {
 // (by decreasing s'_p) are matched against existing patterns (by
 // increasing s'_p); a swap happens only when sw1–sw5 hold and the
 // pattern-size distribution stays KS-similar, which guarantees the
-// progressive gain of Lemma 6.3. κ follows the SWAP_α schedule across
-// scans; λ stays fixed (the paper sets λ = κ's initial value).
+// progressive gain of Lemma 6.3. κ follows the SWAP_α schedule; λ
+// stays fixed (the paper sets λ = κ's initial value).
+//
+// σ is the engine's, not the call's: it starts at 0.25 only in a fresh
+// or restored engine and carries over from one Maintain to the next.
+// After its k-th update over the engine's life σ_k = (k+1)/(2k+4), so
+// a batch's first scan uses the configured κ and each later scan
+// κ = 1 − 2σ_k = 1/(k+2), which shrinks toward 0 as batches go by.
 func (e *Engine) multiScanSwap(cands []*catapult.Candidate) (swaps, scans int) {
 	kappa := e.cfg.Kappa
 	for scans = 1; scans <= e.cfg.MaxScans; scans++ {
@@ -29,7 +35,9 @@ func (e *Engine) multiScanSwap(cands []*catapult.Candidate) (swaps, scans int) {
 		swaps += n
 		// Lemma 6.3: after a scan with κ_t, the approximation ratio is
 		// bounded by σ_t = 0.25 / (1 - σ_{t-1}); once σ >= 0.5 further
-		// scans cannot improve the bound.
+		// scans cannot improve the bound. σ_k = (k+1)/(2k+4) stays
+		// below 1/2, so this stop never fires: scans end on a fruitless
+		// scan or at MaxScans.
 		if e.sigma >= 0.5 {
 			break
 		}

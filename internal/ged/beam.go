@@ -17,49 +17,17 @@ func Beam(a, b *graph.Graph, width int) float64 {
 	if width < 1 {
 		width = 1
 	}
-	orderA := make([]int, a.Order())
-	for i := range orderA {
-		orderA[i] = i
-	}
-	sort.Slice(orderA, func(i, j int) bool { return a.Degree(orderA[i]) > a.Degree(orderA[j]) })
-
-	type partial struct {
-		mapping []int
-		g       float64
-	}
-	level := []partial{{mapping: []int{}}}
-	for depth := 0; depth < a.Order(); depth++ {
-		av := orderA[depth]
-		var next []partial
+	s := newSearch(a, b)
+	level := []*gedNode{s.root()}
+	for depth := 0; depth < s.na; depth++ {
+		var next []*gedNode
 		for _, p := range level {
-			used := make(map[int]bool, len(p.mapping))
-			for _, m := range p.mapping {
-				if m >= 0 {
-					used[m] = true
-				}
+			for _, c := range s.expand(p) {
+				next = append(next, s.extend(p, c))
 			}
-			for bv := 0; bv < b.Order(); bv++ {
-				if used[bv] {
-					continue
-				}
-				child := append(append([]int{}, p.mapping...), bv)
-				next = append(next, partial{
-					mapping: child,
-					g:       p.g + substitutionCost(a, b, av, bv, p.mapping, orderA),
-				})
-			}
-			del := append(append([]int{}, p.mapping...), -1)
-			next = append(next, partial{
-				mapping: del,
-				g:       p.g + 1 + float64(mappedDegree(a, av, p.mapping, orderA)),
-			})
 		}
 		// Keep the best `width` by g + admissible heuristic.
-		sort.SliceStable(next, func(i, j int) bool {
-			fi := next[i].g + heuristic(a, b, next[i].mapping, orderA)
-			fj := next[j].g + heuristic(a, b, next[j].mapping, orderA)
-			return fi < fj
-		})
+		sort.SliceStable(next, func(i, j int) bool { return next[i].f < next[j].f })
 		if len(next) > width {
 			next = next[:width]
 		}
@@ -67,14 +35,9 @@ func Beam(a, b *graph.Graph, width int) float64 {
 	}
 	best := -1.0
 	for _, p := range level {
-		total := p.g + insertionCost(a, b, p.mapping, orderA)
-		if best < 0 || total < best {
+		if total := s.total(p); best < 0 || total < best {
 			best = total
 		}
-	}
-	if best < 0 {
-		// a has no vertices: cost is building b outright.
-		return float64(b.Order() + b.Size())
 	}
 	return best
 }

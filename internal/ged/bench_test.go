@@ -3,6 +3,8 @@ package ged
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/midas-graph/midas/internal/dataset"
 )
 
 func BenchmarkExactSmall(b *testing.B) {
@@ -34,3 +36,18 @@ func BenchmarkBeam(b *testing.B) {
 		_ = Beam(a, c, 8)
 	}
 }
+
+// BenchmarkExactAIDS times exact GED on the pairs Metrics.Div scores:
+// 3–6-edge connected subgraphs of AIDS-like molecules, one pair per op.
+func BenchmarkExactAIDS(b *testing.B) {
+	mols := dataset.AIDSLike().Generate(40, 0, 1)
+	qs := dataset.Queries(mols, 64, 3, 6, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 2 * (i % (len(qs) / 2))
+		sinkGED, _ = Exact(qs[k], qs[k+1], 200000)
+	}
+}
+
+var sinkGED float64

@@ -1,22 +1,10 @@
 package ged
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"github.com/midas-graph/midas/graph"
 )
-
-func heapInit(pq *gedPQ)             { heap.Init(pq) }
-func heapPush(pq *gedPQ, n *gedNode) { heap.Push(pq, n) }
-func heapPop(pq *gedPQ) *gedNode     { return heap.Pop(pq).(*gedNode) }
-
-func sortByDegreeDesc(g *graph.Graph, order []int) {
-	sort.Slice(order, func(i, j int) bool {
-		return g.Degree(order[i]) > g.Degree(order[j])
-	})
-}
 
 // Edit paths. Beyond the distance value, interfaces want the concrete
 // edit script: when a user drops a canned pattern, the GUI can show the
@@ -238,77 +226,16 @@ func Apply(a *graph.Graph, ops []EditOp) (*graph.Graph, error) {
 // ExactWithMapping is Exact but also returns the optimal vertex mapping
 // (a vertex -> b vertex or -1). The boolean reports exactness; on
 // budget exhaustion the best-known mapping (possibly from the bipartite
-// seed) is returned.
+// seed) is returned. It runs the same search as Exact, seeded with the
+// bipartite mapping's cost, and counts nothing.
 func ExactWithMapping(a, b *graph.Graph, maxNodes int) (float64, []int, bool) {
-	// Re-run the A* tracking the incumbent mapping. Mirrors Exact; kept
-	// separate so the hot distance-only path stays allocation-light.
-	if maxNodes <= 0 {
-		maxNodes = 400000
+	s := newSearch(a, b)
+	mapping := bipartiteMapping(a, b)
+	d, exact, _, goal := s.astar(editCostOfMappingDirect(a, b, mapping), maxNodes, nil)
+	if goal != nil {
+		mapping = s.vertexMapping(goal)
 	}
-	orderA := make([]int, a.Order())
-	for i := range orderA {
-		orderA[i] = i
-	}
-	sortByDegreeDesc(a, orderA)
-
-	bestMapping := bipartiteMapping(a, b)
-	upper := editCostOfMappingDirect(a, b, bestMapping)
-
-	start := &gedNode{mapping: make([]int, 0, a.Order())}
-	start.f = heuristic(a, b, start.mapping, orderA)
-	pq := &gedPQ{start}
-	heapInit(pq)
-	expanded := 0
-	for pq.Len() > 0 {
-		cur := heapPop(pq)
-		if cur.f >= upper {
-			return upper, bestMapping, true
-		}
-		if len(cur.mapping) == a.Order() {
-			total := cur.g + insertionCost(a, b, cur.mapping, orderA)
-			if total < upper {
-				upper = total
-				bestMapping = mappingInVertexOrder(cur.mapping, orderA, a.Order())
-			}
-			continue
-		}
-		expanded++
-		if expanded > maxNodes {
-			return upper, bestMapping, false
-		}
-		av := orderA[len(cur.mapping)]
-		for bv := 0; bv < b.Order(); bv++ {
-			if cur.uses(bv) {
-				continue
-			}
-			child := cur.extend(bv)
-			child.g = cur.g + substitutionCost(a, b, av, bv, cur.mapping, orderA)
-			child.f = child.g + heuristic(a, b, child.mapping, orderA)
-			if child.f < upper {
-				heapPush(pq, child)
-			}
-		}
-		child := cur.extend(-1)
-		child.g = cur.g + 1 + float64(mappedDegree(a, av, cur.mapping, orderA))
-		child.f = child.g + heuristic(a, b, child.mapping, orderA)
-		if child.f < upper {
-			heapPush(pq, child)
-		}
-	}
-	return upper, bestMapping, true
-}
-
-// mappingInVertexOrder converts an order-indexed mapping back to vertex
-// indexing.
-func mappingInVertexOrder(orderMapping, orderA []int, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = -1
-	}
-	for i, bv := range orderMapping {
-		out[orderA[i]] = bv
-	}
-	return out
+	return d, mapping, exact
 }
 
 // bipartiteMapping returns the assignment-based vertex mapping

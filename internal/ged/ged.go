@@ -1,11 +1,6 @@
 package ged
 
-import (
-	"container/heap"
-	"sort"
-
-	"github.com/midas-graph/midas/graph"
-)
+import "github.com/midas-graph/midas/graph"
 
 // LowerBoundLabel returns the label-count lower bound GED_l of Lemma 6.1
 // with zero relaxed edges:
@@ -168,227 +163,13 @@ func Exact(a, b *graph.Graph, maxNodes int) (float64, bool) {
 
 // ExactCancel is Exact with an optional cancellation hook polled in the
 // A* expansion loop alongside the node budget; when it fires, the best
-// upper bound found so far is returned (marked inexact).
+// upper bound found so far is returned (marked inexact). The search is
+// seeded with the bipartite upper bound so the frontier prunes
+// immediately.
 func ExactCancel(a, b *graph.Graph, maxNodes int, cancel func() bool) (float64, bool) {
-	if maxNodes <= 0 {
-		maxNodes = 400000
-	}
-	// Search maps vertices of a (in descending-degree order) to vertices
-	// of b or to deletion; insertions are settled at the end.
-	orderA := make([]int, a.Order())
-	for i := range orderA {
-		orderA[i] = i
-	}
-	sort.Slice(orderA, func(i, j int) bool { return a.Degree(orderA[i]) > a.Degree(orderA[j]) })
-
-	upper := Bipartite(a, b)
-	start := &gedNode{mapping: make([]int, 0, a.Order())}
-	start.f = heuristic(a, b, start.mapping, orderA)
-	pq := &gedPQ{start}
-	heap.Init(pq)
-	expanded := 0
-	exact := true
-	defer func() { flushExact(expanded, !exact) }()
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(*gedNode)
-		if cur.f >= upper {
-			// Everything remaining costs at least the known upper bound.
-			return upper, true
-		}
-		if len(cur.mapping) == a.Order() {
-			total := cur.g + insertionCost(a, b, cur.mapping, orderA)
-			if total < upper {
-				upper = total
-			}
-			// First goal popped with admissible h is optimal, but since
-			// our insertion cost is settled at goal time, we continue
-			// until the frontier cannot improve. The check above handles
-			// termination.
-			continue
-		}
-		expanded++
-		if expanded > maxNodes {
-			exact = false
-			return upper, false
-		}
-		if cancel != nil && expanded&0xFF == 0 && cancel() {
-			exact = false
-			return upper, false
-		}
-		av := orderA[len(cur.mapping)]
-		// Substitute with each unused b vertex.
-		for bv := 0; bv < b.Order(); bv++ {
-			if cur.uses(bv) {
-				continue
-			}
-			child := cur.extend(bv)
-			child.g = cur.g + substitutionCost(a, b, av, bv, cur.mapping, orderA)
-			child.f = child.g + heuristic(a, b, child.mapping, orderA)
-			if child.f < upper {
-				heap.Push(pq, child)
-			}
-		}
-		// Delete av.
-		child := cur.extend(-1)
-		child.g = cur.g + 1 + float64(mappedDegree(a, av, cur.mapping, orderA))
-		child.f = child.g + heuristic(a, b, child.mapping, orderA)
-		if child.f < upper {
-			heap.Push(pq, child)
-		}
-	}
-	return upper, true
-}
-
-// substitutionCost is the incremental cost of mapping av->bv given the
-// existing partial mapping: label mismatch plus edge edits between av and
-// previously mapped vertices.
-func substitutionCost(a, b *graph.Graph, av, bv int, mapping []int, orderA []int) float64 {
-	c := 0.0
-	if a.Label(av) != b.Label(bv) {
-		c = 1
-	}
-	for i, m := range mapping {
-		au := orderA[i]
-		aEdge := a.HasEdge(av, au)
-		if m == -1 {
-			if aEdge {
-				c++ // edge to deleted vertex must be deleted
-			}
-			continue
-		}
-		bEdge := b.HasEdge(bv, m)
-		if aEdge != bEdge {
-			c++
-		}
-	}
-	return c
-}
-
-// mappedDegree counts edges from av to already-mapped (or deleted)
-// a-vertices; deleting av deletes those edges.
-func mappedDegree(a *graph.Graph, av int, mapping []int, orderA []int) int {
-	n := 0
-	for i := range mapping {
-		if a.HasEdge(av, orderA[i]) {
-			n++
-		}
-	}
-	return n
-}
-
-// insertionCost closes a complete mapping: unmatched b vertices are
-// inserted along with every b edge not matched by an a edge; edges of b
-// between two substituted vertices were already accounted.
-func insertionCost(a, b *graph.Graph, mapping []int, orderA []int) float64 {
-	used := make([]bool, b.Order())
-	aimg := make([]int, a.Order())
-	for i := range aimg {
-		aimg[i] = -1
-	}
-	for i, m := range mapping {
-		if m >= 0 {
-			used[m] = true
-			aimg[orderA[i]] = m
-		}
-	}
-	cost := 0.0
-	for v := 0; v < b.Order(); v++ {
-		if !used[v] {
-			cost++
-		}
-	}
-	// b edges with at least one un-mapped endpoint are insertions; those
-	// between mapped endpoints were charged during substitution.
-	for _, e := range b.Edges() {
-		if !used[e.U] || !used[e.V] {
-			cost++
-		}
-	}
-	return cost
-}
-
-// heuristic is an admissible estimate of the remaining cost: label
-// multiset mismatch between unmapped a vertices and unused b vertices,
-// plus the difference between remaining edge counts.
-func heuristic(a, b *graph.Graph, mapping []int, orderA []int) float64 {
-	usedB := make([]bool, b.Order())
-	for _, m := range mapping {
-		if m >= 0 {
-			usedB[m] = true
-		}
-	}
-	var remA, remB []string
-	for i := len(mapping); i < a.Order(); i++ {
-		remA = append(remA, a.Label(orderA[i]))
-	}
-	for v := 0; v < b.Order(); v++ {
-		if !usedB[v] {
-			remB = append(remB, b.Label(v))
-		}
-	}
-	sort.Strings(remA)
-	sort.Strings(remB)
-	common := multisetIntersection(remA, remB)
-	maxR := len(remA)
-	if len(remB) > maxR {
-		maxR = len(remB)
-	}
-	hv := float64(maxR - common)
-
-	// Remaining-edge counts: a edges with an unmapped endpoint vs b edges
-	// with an unused endpoint.
-	inMapping := make([]bool, a.Order())
-	for i := range mapping {
-		inMapping[orderA[i]] = true
-	}
-	ea, eb := 0, 0
-	for _, e := range a.Edges() {
-		if !inMapping[e.U] || !inMapping[e.V] {
-			ea++
-		}
-	}
-	for _, e := range b.Edges() {
-		if !usedB[e.U] || !usedB[e.V] {
-			eb++
-		}
-	}
-	he := float64(intAbs(ea - eb))
-	return hv + he
-}
-
-type gedNode struct {
-	mapping []int // orderA[i] -> b vertex or -1 (deleted)
-	g, f    float64
-}
-
-func (n *gedNode) uses(bv int) bool {
-	for _, m := range n.mapping {
-		if m == bv {
-			return true
-		}
-	}
-	return false
-}
-
-func (n *gedNode) extend(bv int) *gedNode {
-	m := make([]int, len(n.mapping)+1)
-	copy(m, n.mapping)
-	m[len(n.mapping)] = bv
-	return &gedNode{mapping: m}
-}
-
-type gedPQ []*gedNode
-
-func (q gedPQ) Len() int            { return len(q) }
-func (q gedPQ) Less(i, j int) bool  { return q[i].f < q[j].f }
-func (q gedPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *gedPQ) Push(x interface{}) { *q = append(*q, x.(*gedNode)) }
-func (q *gedPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+	d, exact, expanded, _ := newSearch(a, b).astar(Bipartite(a, b), maxNodes, cancel)
+	flushExact(expanded, !exact)
+	return d, exact
 }
 
 // Distance returns a practical GED estimate: exact for small graphs

@@ -133,8 +133,12 @@ func featureByKey(features []*tree.Tree, key string) *tree.Tree {
 }
 
 // TighterGED returns GED'_l(a,b) = GED_l(a,b) + n with n from
-// RelaxedEdges, the pruning bound of Lemma 6.1 used when computing
-// pattern-set diversity.
+// RelaxedEdges, Lemma 6.1's bound that Metrics.Div prunes with. It is
+// not a lower bound on GED: the relaxed edges can already be paid for
+// by GED_l's relabel and edge-count terms. Between a = C–C–O–P with an
+// H on the first C and on the O, and a path of four carbons, GED_l = 6
+// = GED and n = 1 under the features mined from 200 AIDS-like graphs
+// at supmin 0.4, so GED'_l = 7.
 func (ix *Indices) TighterGED(a, b *graph.Graph) float64 {
 	feats := make([]*tree.Tree, 0, len(ix.features)+len(ix.ife))
 	for _, k := range ix.FeatureKeys() {
