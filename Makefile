@@ -51,6 +51,8 @@ bench-smoke:
 figures:
 	$(GO) run ./cmd/midas-bench -scale small
 
+# FuzzLoadState's inputs are whole state bundles (kilobytes): its
+# minimisation of each new input is capped, or it takes the whole run.
 fuzz:
 	$(GO) test ./graph -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./graph -fuzz FuzzJSON -fuzztime 30s
@@ -59,14 +61,16 @@ fuzz:
 	$(GO) test ./internal/index -fuzz FuzzIndexMaintenance -fuzztime 30s
 	$(GO) test ./internal/iso -fuzz FuzzMCCS -fuzztime 30s
 	$(GO) test ./internal/ged -fuzz FuzzExactGED -fuzztime 30s
+	$(GO) test . -run FuzzLoadState -fuzz FuzzLoadState -fuzztime 30s -fuzzminimizetime 2s
 
-# The sequential/parallel differential suite and the index oracle suite
-# at a pinned GOMAXPROCS, the MCCS kernel against its map-based
-# reference search, the exact GED search (distance, edit path and beam)
-# against its string-based reference, plus the race detector over every
-# parallelized package (the CI gate for the determinism contract).
+# The sequential/parallel differential suite, the index oracle suite and
+# the exact-restore oracle at a pinned GOMAXPROCS, the MCCS kernel
+# against its map-based reference search, the exact GED search
+# (distance, edit path and beam) against its string-based reference,
+# plus the race detector over every parallelized package (the CI gate
+# for the determinism contract).
 differential:
-	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|QueryIdentical|MidFanOut|AsyncCancel|UnderMaintenance|FuzzIndexMaintenance' . ./internal/core ./internal/cluster ./internal/index
+	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|QueryIdentical|MidFanOut|AsyncCancel|UnderMaintenance|FuzzIndexMaintenance|RestoreIsTransparent' . ./internal/core ./internal/cluster ./internal/index
 	$(GO) test -run 'MCCSMatchesReference|FuzzMCCS' ./internal/iso
 	$(GO) test -run 'ExactMatchesReference|ExactWithMappingMatchesReference|BeamMatchesReference|FuzzExactGED' ./internal/ged
 	$(GO) test -race -count=2 ./internal/cluster ./internal/iso ./internal/ged ./internal/parallel ./internal/index/...

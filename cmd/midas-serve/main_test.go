@@ -116,39 +116,58 @@ func (p *serveProc) get(t *testing.T, path string) []byte {
 	return body
 }
 
-// TestServeSmoke drives single-tenant midas-serve as a process: boot
-// from -db with -save and -watch, apply one HTTP and one spool batch,
-// stop with SIGTERM (exit 0), restart from the saved -state, and
-// require the restarted panel to be byte-identical.
-func TestServeSmoke(t *testing.T) {
-	dir := t.TempDir()
-	spool := filepath.Join(dir, "spool")
-	if err := os.Mkdir(spool, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	db := dataset.EMolLike().GenerateDB(16, 3)
-	if err := os.WriteFile(filepath.Join(dir, "db.graphs"), []byte(graph.Marshal(db.Graphs())), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	engine := []string{"-gamma", "4", "-min", "2", "-max", "4", "-workers", "1"}
-
-	p := startServe(t, dir, append([]string{"-db", "db.graphs", "-save", "panel.state",
-		"-watch", "spool", "-interval", "20ms"}, engine...)...)
-
-	batch := graph.Marshal(dataset.BoronicEsters().Generate(2, 0, 7))
+// maintain POSTs a batch to /maintain and requires 200.
+func (p *serveProc) maintain(t *testing.T, batch string) {
+	t.Helper()
 	resp, err := http.Post(p.base+"/maintain", "text/plain", strings.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /maintain = %d", resp.StatusCode)
+		t.Fatalf("POST /maintain = %d\n%s", resp.StatusCode, p.logText())
 	}
+}
+
+// TestServeSmoke drives single-tenant midas-serve as a process: boot
+// from -db with -save and -watch, apply one HTTP and one spool batch,
+// stop with SIGTERM (exit 0), restart from the saved -state, and
+// require the restarted panel to be byte-identical. A twin server that
+// never restarts takes the same two batches; then both take one more
+// major batch, and the restarted server must serve the twin's panel
+// byte for byte — a restart decodes the maintained state, so it does
+// not change the panel's future. (Re-deriving the clusters and
+// summaries on restart made this batch swap differently.)
+func TestServeSmoke(t *testing.T) {
+	dir := t.TempDir()
+	spool := filepath.Join(dir, "spool")
+	twinDir := filepath.Join(dir, "twin")
+	for _, d := range []string{spool, twinDir} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := graph.Marshal(dataset.EMolLike().GenerateDB(16, 3).Graphs())
+	for _, d := range []string{dir, twinDir} {
+		if err := os.WriteFile(filepath.Join(d, "db.graphs"), []byte(db), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine := []string{"-gamma", "4", "-min", "2", "-max", "4", "-workers", "1"}
+
+	p := startServe(t, dir, append([]string{"-db", "db.graphs", "-save", "panel.state",
+		"-watch", "spool", "-interval", "20ms"}, engine...)...)
+	twin := startServe(t, twinDir, append([]string{"-db", "db.graphs"}, engine...)...)
+
+	batch := graph.Marshal(dataset.BoronicEsters().Generate(2, 0, 7))
+	p.maintain(t, batch)
+	twin.maintain(t, batch)
 
 	spoolBatch := graph.Marshal(dataset.BoronicEsters().Generate(2, 5000, 9))
 	if err := os.WriteFile(filepath.Join(spool, "b1.graphs"), []byte(spoolBatch), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	twin.maintain(t, spoolBatch)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if _, err := os.Stat(filepath.Join(spool, "b1.graphs.done")); err == nil {
@@ -163,13 +182,30 @@ func TestServeSmoke(t *testing.T) {
 	p.stop(t)
 
 	q := startServe(t, dir, append([]string{"-state", "panel.state"}, engine...)...)
+	if !strings.Contains(q.logText(), "patterns, decoded in") {
+		t.Fatalf("restart did not decode the saved state\n%s", q.logText())
+	}
+	if m := q.get(t, "/metrics"); !bytes.Contains(m, []byte(`midas_bootstrap_stage_seconds{stage="decode"}`)) {
+		t.Fatalf("/metrics after a restart lacks the decode stage:\n%s", m)
+	}
 	if got := q.get(t, "/patterns"); !bytes.Equal(got, patterns) {
 		t.Fatalf("restarted /patterns differs:\nbefore %s\nafter  %s", patterns, got)
 	}
 	if got := q.get(t, "/quality"); !bytes.Equal(got, quality) {
 		t.Fatalf("restarted /quality differs:\nbefore %s\nafter  %s", quality, got)
 	}
+
+	major := graph.Marshal(dataset.AIDSLike().Generate(6, 9000, 3))
+	q.maintain(t, major)
+	twin.maintain(t, major)
+	if got, want := q.get(t, "/patterns"), twin.get(t, "/patterns"); !bytes.Equal(got, want) {
+		t.Fatalf("after the next batch, restarted /patterns differs from the twin's:\nrestarted %s\ntwin      %s", got, want)
+	}
+	if got, want := q.get(t, "/quality"), twin.get(t, "/quality"); !bytes.Equal(got, want) {
+		t.Fatalf("after the next batch, restarted /quality differs from the twin's:\nrestarted %s\ntwin      %s", got, want)
+	}
 	q.stop(t)
+	twin.stop(t)
 }
 
 // TestReplicaServeSmoke drives replicated midas-serve as two

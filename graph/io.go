@@ -62,8 +62,25 @@ func ReadDatabaseFile(path string) (*Database, error) {
 }
 
 // Read parses graphs in the text format from r. It validates that vertex
-// IDs are dense and that edge endpoints exist.
+// IDs are dense and that edge endpoints exist, and sorts every adjacency
+// list ascending.
 func Read(r io.Reader) ([]*Graph, error) {
+	graphs, err := ReadInOrder(r)
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range graphs {
+		g.SortAdjacency()
+	}
+	return graphs, nil
+}
+
+// ReadInOrder is Read without the adjacency sort: each adjacency list
+// lists its neighbours in the order their edges appear. A graph built
+// by AddEdge and RemoveEdge alone keeps that order itself, so it
+// round-trips through Write and ReadInOrder with identical neighbour
+// lists — which the search kernels (VF2, MCCS) visit in order.
+func ReadInOrder(r io.Reader) ([]*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var graphs []*Graph
@@ -127,10 +144,20 @@ func Read(r io.Reader) ([]*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for _, g := range graphs {
-		g.SortAdjacency()
-	}
 	return graphs, nil
+}
+
+// CutGraphs splits text at its first graph record (a "t" line) into
+// the lines before it and the graph text from there on, for formats
+// that lead a block of graphs with records of their own.
+func CutGraphs(text string) (head, graphs string) {
+	if strings.HasPrefix(text, "t ") {
+		return "", text
+	}
+	if i := strings.Index(text, "\nt "); i >= 0 {
+		return text[:i+1], text[i+1:]
+	}
+	return text, ""
 }
 
 // Marshal renders graphs to a string in the text format.

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -188,9 +189,9 @@ type Engine struct {
 	nextPatternID int
 
 	// sigma is the approximation-ratio lower bound of Lemma 6.3. It
-	// starts at the SWAP_α base of 0.25 in a fresh or restored engine
-	// and is carried across scans and across Maintain calls, so later
-	// scans use κ = 1/(k+2) after k updates (multiScanSwap).
+	// starts at the SWAP_α base of 0.25 in a fresh engine and is
+	// carried across scans, Maintain calls and v3 state bundles, so
+	// later scans use κ = 1/(k+2) after k updates (multiScanSwap).
 	sigma float64
 
 	// logWeight, when set, scales pattern scores during swapping by a
@@ -274,6 +275,70 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 	clock.lap("metrics")
 	e.bootstrap, e.BootstrapTime = clock.stages, clock.total()
 	return e
+}
+
+// Maintained is the maintained state a state bundle carries besides
+// the database and the patterns, still encoded: the sections written
+// by tree.Set.Encode, cluster.Clustering.Encode and csg.Manager.Encode,
+// plus σ and the pattern-ID allocator.
+type Maintained struct {
+	Trees, Clusters, Summaries string
+	Sigma                      float64
+	NextPatternID              int
+}
+
+// Sigma returns the carried approximation-ratio bound σ of Lemma 6.3.
+func (e *Engine) Sigma() float64 { return e.sigma }
+
+// NextPatternID returns the ID the next new pattern will take.
+func (e *Engine) NextPatternID() int { return e.nextPatternID }
+
+// RestoreEngine is the exact restart path: the FCT set, the clustering
+// and the summaries are decoded from m instead of re-derived, and σ and
+// the pattern-ID allocator are carried over, so the engine maintains
+// exactly as the one that saved them would have. Only what is a
+// function of that state is rebuilt: the indices (the index oracle
+// holds the maintained index equal to index.Build), the graphlet
+// counter and the metrics evaluator. No MCCS or VF2 search runs. An
+// error means the sections are malformed or contradict db or the
+// patterns.
+func RestoreEngine(db *graph.Database, cfg Config, patterns []*graph.Graph, m Maintained) (*Engine, error) {
+	cfg = cfg.withDefaults()
+	cfg.UseClosedFeatures = true
+	cfg.UseIndices = true
+	cfg.Cluster.Workers = cfg.Workers
+	e := &Engine{cfg: cfg, db: db, sigma: m.Sigma, nextPatternID: m.NextPatternID}
+	clock := newStageClock()
+	var err error
+	if e.set, err = tree.Decode(m.Trees, cfg.SupMin, cfg.MaxTreeEdges, db); err != nil {
+		return nil, err
+	}
+	if e.cl, err = cluster.Decode(m.Clusters, cfg.Cluster, db); err != nil {
+		return nil, err
+	}
+	if e.csgs, err = csg.DecodeManager(m.Summaries, 0, e.cl, db); err != nil {
+		return nil, err
+	}
+	e.csgs.SetMemo(cfg.Workers >= 1)
+	for _, p := range patterns {
+		if p.ID >= m.NextPatternID {
+			return nil, fmt.Errorf("core: pattern %d is not below the next pattern ID %d", p.ID, m.NextPatternID)
+		}
+	}
+	clock.lap("decode")
+	e.ix = index.Build(e.set, db, nil)
+	e.patterns = append([]*graph.Graph(nil), patterns...)
+	for _, p := range e.patterns {
+		e.ix.RegisterPattern(p)
+	}
+	clock.lap("index")
+	e.counter = graphlet.NewCounter(db)
+	clock.lap("graphlet")
+	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
+	e.metrics.Memo = cfg.Workers >= 1
+	clock.lap("metrics")
+	e.bootstrap, e.BootstrapTime = clock.stages, clock.total()
+	return e, nil
 }
 
 func newEngine(db *graph.Database, cfg Config) *Engine {

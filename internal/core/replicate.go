@@ -15,16 +15,17 @@ import (
 // installed verbatim instead of re-running candidate generation and
 // swapping.
 //
-// This is the replication follower's install path. Pattern maintenance
-// is NOT a pure function of the serialized state: swap decisions read
-// engine internals that evolve across batches and are rebuilt, not
-// restored, by LoadState (the incremental clustering, the carried
-// approximation bound σ, the metric evaluator's sample). Re-running it
-// on a follower therefore cannot reproduce the primary's result
-// byte-for-byte. Shipping the decided pattern set alongside the update
-// makes the follower's replicated state (database + patterns) —
-// exactly what SaveState captures and state fingerprints bind — a
-// deterministic function of the record stream.
+// This is the replication follower's install path. Restore is exact
+// (RestoreEngine carries the tree set, clusters, summaries and σ), so
+// maintenance is a function of a full state bundle and the update. But
+// a follower never runs a swap: it installs patterns, so its σ and
+// pattern-ID allocator never advance the way the primary's do, and
+// re-running swaps on it cannot reproduce the primary's decisions.
+// Shipping the decided pattern set alongside the update makes the
+// follower's replicated state (options, database, patterns — what
+// SaveReplicatedState writes and state fingerprints bind) a
+// deterministic function of the record stream. Deriving the patterns
+// on followers instead is a separate decision.
 //
 // Like MaintainContext it is transactional: the update is validated
 // up front, and any error or panic restores the pre-batch snapshot.

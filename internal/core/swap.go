@@ -24,7 +24,8 @@ type scored struct {
 // stays fixed (the paper sets λ = κ's initial value).
 //
 // σ is the engine's, not the call's: it starts at 0.25 only in a fresh
-// or restored engine and carries over from one Maintain to the next.
+// engine and carries over from one Maintain to the next, and across a
+// restart (state bundles carry it).
 // After its k-th update over the engine's life σ_k = (k+1)/(2k+4), so
 // a batch's first scan uses the configured κ and each later scan
 // κ = 1 − 2σ_k = 1/(k+2), which shrinks toward 0 as batches go by.

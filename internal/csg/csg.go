@@ -57,17 +57,7 @@ func BuildWithCancel(clusterID int, members []*graph.Graph, budget int, cancel f
 }
 
 func buildCSG(clusterID int, members []*graph.Graph, budget int, cancel func() bool, memo bool) *CSG {
-	if budget <= 0 {
-		budget = 20000
-	}
-	s := &CSG{
-		ClusterID: clusterID,
-		G:         graph.New(clusterID),
-		support:   make(map[graph.Edge]map[int]struct{}),
-		budget:    budget,
-		cancel:    cancel,
-		memo:      memo,
-	}
+	s := newCSG(clusterID, graph.New(clusterID), budget, cancel, memo)
 	ordered := append([]*graph.Graph(nil), members...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Size() != ordered[j].Size() {
@@ -79,6 +69,22 @@ func buildCSG(clusterID int, members []*graph.Graph, budget int, cancel func() b
 		s.Integrate(g)
 	}
 	return s
+}
+
+// newCSG returns a summary over g with no support recorded yet; a
+// budget <= 0 selects the default.
+func newCSG(clusterID int, g *graph.Graph, budget int, cancel func() bool, memo bool) *CSG {
+	if budget <= 0 {
+		budget = 20000
+	}
+	return &CSG{
+		ClusterID: clusterID,
+		G:         g,
+		support:   make(map[graph.Edge]map[int]struct{}),
+		budget:    budget,
+		cancel:    cancel,
+		memo:      memo,
+	}
 }
 
 // Size returns the number of summary edges.

@@ -73,9 +73,11 @@ func Bipartite(a, b *graph.Graph) float64 {
 		return 0
 	}
 	const big = 1e18
+	// All rows are carved from one backing slice.
+	cells := make([]float64, n*n)
 	cost := make([][]float64, n)
 	for i := range cost {
-		cost[i] = make([]float64, n)
+		cost[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 	for i := 0; i < na; i++ {
 		for j := 0; j < nb; j++ {

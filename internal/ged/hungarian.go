@@ -25,13 +25,15 @@ func Hungarian(cost [][]float64) ([]int, float64) {
 	v := make([]float64, n+1)
 	p := make([]int, n+1) // p[j] = row matched to column j
 	way := make([]int, n+1)
+	// Per-row scratch, reset in place for every row.
+	minv := make([]float64, n+1)
+	used := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
 		for j := 0; j <= n; j++ {
 			minv[j] = inf
+			used[j] = false
 		}
 		for {
 			used[j0] = true

@@ -7,18 +7,16 @@
 // record in the same log, and a deposed primary's stream is rejected
 // and demotes itself.
 //
-// Replication ships results, not computations. Pattern maintenance is
-// not reproducible from serialized state: swap decisions read engine
-// internals that evolve across batches and are rebuilt — not restored
-// — by LoadState (the incremental clustering, the carried
-// approximation bound σ, the metric evaluator's sample). Each shipped
-// record therefore carries the post-remap update AND the primary's
-// post-apply pattern set; a follower applies the database delta
-// mechanically (deterministic) and installs the shipped patterns
-// verbatim (Engine.ApplyReplicated). The replicated state — database +
-// patterns, exactly what SaveState captures — is then a deterministic
-// function of the record stream, verified continuously by per-LSN
-// fingerprints.
+// Replication ships results, not computations. A follower never runs
+// a swap, so it does not carry the σ and pattern-ID allocator that
+// swap decisions read and advance. Each shipped record therefore
+// carries the post-remap update AND the primary's post-apply pattern
+// set; a follower applies the database delta mechanically
+// (deterministic) and installs the shipped patterns verbatim
+// (Engine.ApplyReplicated). The replicated state — options, database
+// and patterns, what midas.SaveReplicatedState writes — is then a
+// deterministic function of the record stream, verified continuously
+// by per-LSN fingerprints.
 package replica
 
 import (
@@ -77,17 +75,18 @@ func DecodeUpdate(b []byte) (graph.Update, []*graph.Graph, error) {
 }
 
 // Fingerprint is the canonical state fingerprint: FNV-64a over the
-// engine's serialised state (database + patterns + the engine's own
-// options with Workers recorded as 0, no metadata). The primary stamps
-// it on every shipped record after applying the batch; the follower
-// recomputes it after re-applying and any mismatch is divergence — the
-// replica quarantines its state and re-bootstraps from the primary's
-// bundle. SaveState is deterministic (ordered sections, canonical JSON
-// header), so equal engine state means equal fingerprint on both
-// sides, whatever worker count each runs.
+// engine's replicated state (database + patterns + the engine's own
+// options with Workers recorded as 0, no metadata) in its v2 bundle
+// form. The primary stamps it on every shipped record after applying
+// the batch; the follower recomputes it after re-applying and any
+// mismatch is divergence — the replica quarantines its state and
+// re-bootstraps from the primary's bundle. SaveReplicatedState is
+// deterministic (ordered sections, canonical JSON header), so equal
+// engine state means equal fingerprint on both sides, whatever worker
+// count each runs.
 func Fingerprint(eng *midas.Engine) (uint64, error) {
 	h := fnv.New64a()
-	if err := midas.SaveState(h, eng); err != nil {
+	if err := midas.SaveReplicatedState(h, eng); err != nil {
 		return 0, fmt.Errorf("replica: fingerprinting state: %w", err)
 	}
 	return h.Sum64(), nil

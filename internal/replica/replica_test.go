@@ -3,7 +3,9 @@ package replica
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +162,30 @@ func bundleOf(t *testing.T, n *Node) []byte {
 	return data
 }
 
+// sameBundle reports whether two persisted bundles hold the same
+// state: the payload — database, patterns and the maintained
+// structures — byte for byte, and the same header apart from σ and the
+// pattern-ID allocator. Only swaps advance those two, and a follower
+// never swaps: it installs the primary's patterns.
+func sameBundle(a, b []byte) bool {
+	header := func(x []byte) (map[string]json.RawMessage, []byte) {
+		parts := bytes.SplitN(x, []byte("\n"), 3)
+		if len(parts) != 3 {
+			return nil, nil
+		}
+		var h map[string]json.RawMessage
+		if json.Unmarshal(parts[1], &h) != nil {
+			return nil, nil
+		}
+		delete(h, "sigma")
+		delete(h, "nextPatternID")
+		return h, append(parts[0], parts[2]...)
+	}
+	ha, pa := header(a)
+	hb, pb := header(b)
+	return ha != nil && reflect.DeepEqual(ha, hb) && bytes.Equal(pa, pb)
+}
+
 func TestPrimaryCommitsToLog(t *testing.T) {
 	sim := vfs.NewSim()
 	p := startNode(t, Config{FS: sim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
@@ -228,7 +254,7 @@ func TestFollowerConvergesByPull(t *testing.T) {
 	submitWrite(t, p, "w4", graph.Update{Delete: []int{1, 3}})
 	waitConverged(t, f, 4)
 
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
 		t.Fatalf("bundles differ after convergence (%d vs %d bytes)", len(pb), len(fb))
 	}
 	pf, _ := Fingerprint(p.shard.Engine())
@@ -253,7 +279,7 @@ func TestFollowerConvergesByPull(t *testing.T) {
 // TestFollowerWorkersMismatch pins that replicated state does not
 // depend on the Workers knob: a follower running a different worker
 // count from its primary installs every shipped record without
-// ErrDiverged and ends on a byte-identical bundle. Bundles and
+// ErrDiverged and ends on the same bundle (sameBundle). Bundles and
 // fingerprints record Workers as 0, so differently sized machines can
 // pair up.
 func TestFollowerWorkersMismatch(t *testing.T) {
@@ -280,7 +306,7 @@ func TestFollowerWorkersMismatch(t *testing.T) {
 	if f.LastLSN() != 2 {
 		t.Fatalf("follower at LSN %d, want 2", f.LastLSN())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
 		t.Fatalf("bundles differ across worker counts (%d vs %d bytes)", len(pb), len(fb))
 	}
 }
@@ -302,7 +328,7 @@ func TestFollowerConvergesByPush(t *testing.T) {
 	submitWrite(t, p, "w2", graph.Update{Delete: []int{0}})
 	waitConverged(t, f, 2)
 
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
 		t.Fatal("bundles differ after push convergence")
 	}
 }
@@ -411,7 +437,7 @@ func TestFollowerRestartReplaysSuffix(t *testing.T) {
 	if f2.LastLSN() != 2 {
 		t.Fatalf("restart position = %d, want 2 (suffix replayed)", f2.LastLSN())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !sameBundle(pb, fb) {
 		t.Fatal("bundles differ after restart replay")
 	}
 }
@@ -453,7 +479,7 @@ func TestDivergenceQuarantinesAndRebootstraps(t *testing.T) {
 	if f.Handle().Generation() <= genBefore {
 		t.Fatalf("generation went backwards: %d -> %d", genBefore, f.Handle().Generation())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
 		t.Fatal("bundles differ after re-bootstrap")
 	}
 }

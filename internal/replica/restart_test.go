@@ -248,7 +248,7 @@ func TestStopDuringRebootstrapRefetches(t *testing.T) {
 	if f2.LastLSN() != 2 {
 		t.Fatalf("restart position = %d, want 2", f2.LastLSN())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !sameBundle(pb, fb) {
 		t.Fatal("bundles differ after the re-fetch")
 	}
 }

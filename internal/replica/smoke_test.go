@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -37,7 +36,7 @@ func TestSmokeFailoverHTTP(t *testing.T) {
 
 	submitWrite(t, p, "w2", graph.Update{Insert: dataset.BoronicEsters().Generate(1, 100, 4)})
 	waitConverged(t, f, 2)
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
 		t.Fatal("bundles differ after HTTP convergence")
 	}
 

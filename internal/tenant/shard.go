@@ -313,8 +313,12 @@ func (sh *Shard) openEngine(p Paths, o *Options) (*midas.Engine, map[string]stri
 			var eng *midas.Engine
 			var meta map[string]string
 			if eng, meta, err = midas.LoadStateMeta(bytes.NewReader(data), sh.opts.Workers); err == nil {
-				sh.logger.Infof(sh.prefix("restored state: %d graphs, %d patterns, rebuilt in %v"),
-					eng.DB().Len(), len(eng.Patterns()), eng.BootstrapTime())
+				how := "rebuilt"
+				if eng.Decoded() {
+					how = "decoded"
+				}
+				sh.logger.Infof(sh.prefix("restored state: %d graphs, %d patterns, %s in %v"),
+					eng.DB().Len(), len(eng.Patterns()), how, eng.BootstrapTime())
 				return eng, meta, nil
 			}
 		}

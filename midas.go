@@ -234,6 +234,8 @@ type Engine struct {
 	// opts are the options the engine was built (New) or restored
 	// (LoadState) with; SaveState records them in the bundle header.
 	opts Options
+	// decoded marks an engine LoadState decoded from a v3 bundle.
+	decoded bool
 }
 
 // New bootstraps the full MIDAS stack over db (FCT mining, clustering,
@@ -276,9 +278,9 @@ func (e *Engine) MaintainContext(ctx context.Context, u graph.Update) (Maintenan
 // ran on a replication primary: the database delta and structural
 // upkeep are applied locally, and the supplied post-apply pattern set
 // is installed verbatim instead of re-running swap decisions (which
-// read engine internals that state bundles rebuild rather than
-// restore, and so are not reproducible on a follower). Transactional
-// like MaintainContext: any error rolls the engine back.
+// read and advance σ and the pattern-ID allocator, which a follower
+// that never swaps does not carry). Transactional like
+// MaintainContext: any error rolls the engine back.
 func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns []*graph.Graph) (MaintenanceReport, error) {
 	rep, err := e.inner.ApplyReplicated(ctx, u, patterns)
 	return fromReport(rep), err
@@ -387,8 +389,14 @@ func (e *Engine) PatternStats() []PatternStat {
 	return out
 }
 
-// BootstrapTime reports how long the initial selection took.
+// BootstrapTime reports how long the initial selection took, or for a
+// restored engine how long LoadState took to decode or rebuild it.
 func (e *Engine) BootstrapTime() time.Duration { return e.inner.BootstrapTime }
+
+// Decoded reports whether LoadState decoded the engine's maintained
+// structures from a v3 bundle, rather than re-deriving them from the
+// database (v1 and v2 bundles, and engines built by New).
+func (e *Engine) Decoded() bool { return e.decoded }
 
 // LastReport returns the report of the most recent Maintain call.
 func (e *Engine) LastReport() MaintenanceReport {

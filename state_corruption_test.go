@@ -1,6 +1,9 @@
 package midas
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,20 +54,37 @@ func TestLoadStateRejectsBitFlip(t *testing.T) {
 	}
 }
 
+// v2Fixture is a v2 bundle written by the last release that saved v2
+// (20 EMol-like graphs, smallOptions): the compatibility tests derive
+// their v1 and v2 inputs from it.
+func v2Fixture(t *testing.T) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "state-v2.bundle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(b), stateMagicV2+"\n") {
+		t.Fatal("testdata/state-v2.bundle is not a v2 bundle")
+	}
+	return string(b)
+}
+
 func TestLoadStateRejectsMissingChecksum(t *testing.T) {
-	_, bundle := corruptionFixture(t)
-	lines := strings.SplitN(bundle, "\n", 3)
-	// Strip the crc32 field from the v2 header: must be rejected.
-	hdr := strings.Replace(lines[1], `"crc32":"`, `"nocrc":"`, 1)
-	doctored := lines[0] + "\n" + hdr + "\n" + lines[2]
-	if _, err := LoadState(strings.NewReader(doctored), 0); err == nil ||
-		!strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("v2 bundle without checksum: err = %v, want missing-checksum error", err)
+	_, v3 := corruptionFixture(t)
+	for name, bundle := range map[string]string{"v2": v2Fixture(t), "v3": v3} {
+		lines := strings.SplitN(bundle, "\n", 3)
+		// Strip the crc32 field from the header: must be rejected.
+		hdr := strings.Replace(lines[1], `"crc32":"`, `"nocrc":"`, 1)
+		doctored := lines[0] + "\n" + hdr + "\n" + lines[2]
+		if _, err := LoadState(strings.NewReader(doctored), 0); err == nil ||
+			!strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s bundle without checksum: err = %v, want missing-checksum error", name, err)
+		}
 	}
 }
 
 func TestLoadStateAcceptsV1(t *testing.T) {
-	_, bundle := corruptionFixture(t)
+	bundle := v2Fixture(t)
 	// A v1 bundle has no checksum and the old magic; it must still load.
 	lines := strings.SplitN(bundle, "\n", 3)
 	hdr := strings.Replace(lines[1], `"crc32":"`, `"ignored":"`, 1)
@@ -75,6 +95,51 @@ func TestLoadStateAcceptsV1(t *testing.T) {
 	}
 	if e.DB().Len() == 0 || len(e.Patterns()) == 0 {
 		t.Fatal("v1 bundle loaded empty")
+	}
+	if e.Decoded() {
+		t.Fatal("a v1 bundle cannot be decoded; it must be rebuilt")
+	}
+}
+
+// TestLoadStateUpgradesV2: a v2 bundle loads through the rebuild path
+// with its database and patterns intact, its first save writes v3, and
+// that v3 bundle decodes and saves back byte for byte.
+func TestLoadStateUpgradesV2(t *testing.T) {
+	bundle := v2Fixture(t)
+	e, err := LoadState(strings.NewReader(bundle), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Decoded() {
+		t.Fatal("a v2 bundle cannot be decoded; it must be rebuilt")
+	}
+	var v2 strings.Builder
+	if err := SaveReplicatedState(&v2, e); err != nil {
+		t.Fatal(err)
+	}
+	if v2.String() != bundle {
+		t.Fatal("the rebuilt engine's database, patterns or options differ from the v2 bundle's")
+	}
+	var v3 bytes.Buffer
+	if err := SaveState(&v3, e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(v3.String(), stateMagic+"\n") {
+		t.Fatalf("first save after a v2 load wrote %q", strings.SplitN(v3.String(), "\n", 2)[0])
+	}
+	r, err := LoadState(bytes.NewReader(v3.Bytes()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Decoded() {
+		t.Fatal("the upgraded bundle was rebuilt, not decoded")
+	}
+	var again bytes.Buffer
+	if err := SaveState(&again, r); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), v3.Bytes()) {
+		t.Fatal("the upgraded v3 bundle did not round-trip")
 	}
 }
 
