@@ -56,8 +56,6 @@ figures:
 fuzz:
 	$(GO) test ./graph -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./graph -fuzz FuzzJSON -fuzztime 30s
-	$(GO) test ./internal/store -fuzz FuzzJournalReplay -fuzztime 30s
-	$(GO) test ./internal/store -fuzz FuzzJournalAppendAfterReplay -fuzztime 30s
 	$(GO) test ./internal/index -fuzz FuzzIndexMaintenance -fuzztime 30s
 	$(GO) test ./internal/iso -fuzz FuzzMCCS -fuzztime 30s
 	$(GO) test ./internal/ged -fuzz FuzzExactGED -fuzztime 30s

@@ -35,7 +35,7 @@
 //
 // Multi-tenant mode (-tenants-dir, optionally -tenants manifest)
 // serves one isolated shard per dataset from
-// <tenants-dir>/<tenant>/{state,journal,spool} behind /t/{tenant}/...
+// <tenants-dir>/<tenant>/{state,spool} behind /t/{tenant}/...
 // routes (or an X-Midas-Tenant header): per-tenant metric labels on
 // every family, one shared maintenance-worker budget (-workers),
 // aggregated per-shard /readyz, consistent-hash placement across
@@ -43,8 +43,8 @@
 // lifecycle when -admin is on.
 //
 // Replication mode (-replica-dir) makes the process one node of a
-// primary/warm-standby pair: the primary journals every committed
-// batch into a framed, CRC'd, epoch-tagged replication log under
+// primary/warm-standby pair: the primary appends every committed
+// batch to a framed, CRC'd, epoch-tagged replication log under
 // -replica-dir and serves it on /replica/* (optionally on a dedicated
 // -replica-listen address), pushing to -replica-peers; a follower
 // (-replicate-from URL) cold-starts from the primary's bundle,
@@ -55,7 +55,7 @@
 // /replica/demote are the epoch-fenced failover verbs.
 //
 // Single-tenant mode and every tenant run the same stack, a
-// tenant.Shard, opened from -state/-save/-journal/-watch/-db here and
+// tenant.Shard, opened from -state/-save/-watch/-db here and
 // from <tenants-dir>/<tenant>/... in tenant mode.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: readiness flips
@@ -65,13 +65,13 @@
 // State bundles are written generationally (tmp + fsync + rename, with
 // the previous generation kept as *.prev) and checksummed. With -save,
 // every batch's bundle is saved before its generation publishes, so an
-// acknowledged POST /maintain is durable; with -save and -watch, a
-// write-ahead journal gives spool batches exactly-once application
-// across crashes. On startup the bundle and journal are salvaged: an
-// interrupted save rolls forward or back to the nearest valid
-// generation, damaged bytes are quarantined as *.corrupt, and if no
-// generation survives the panel starts degraded rather than
-// crash-looping.
+// acknowledged POST /maintain is durable; with -save and -watch, the
+// bundle also names the last applied spool file and its checksum, so a
+// restart after a crash renames that file instead of applying it
+// twice. On startup the bundle is salvaged: an interrupted save rolls
+// forward or back to the nearest valid generation, damaged bytes are
+// quarantined as *.corrupt, and if no generation survives the panel
+// starts degraded rather than crash-looping.
 package main
 
 import (
@@ -101,22 +101,20 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		watchDir   = flag.String("watch", "", "spool directory: apply *.graphs / *.delete files as periodic batches")
 		watchIvl   = flag.Duration("interval", time.Minute, "spool polling interval")
-		jrnlPath   = flag.String("journal", "", "spool batch journal path for exactly-once spool recovery (default <save>.journal whenever -save and -watch are set; requires both)")
 		reqTimeout = flag.Duration("timeout", 2*time.Minute, "per-request deadline (0 disables)")
 		retries    = flag.Int("retries", 3, "attempts before a failing maintenance batch is parked as poisoned (spool batches are then quarantined as *.failed)")
 		backoff    = flag.Duration("backoff", 5*time.Second, "base retry backoff for failing maintenance batches (capped exponential growth per consecutive failure)")
 		queueSize  = flag.Int("maintain-queue", 64, "maintenance queue bound: batches beyond it are rejected with 429 + Retry-After (backpressure)")
-		checkpoint = flag.Int64("checkpoint", 1<<20, "journal size in bytes above which it is compacted after a successful maintenance (0 disables)")
 		inflight   = flag.Int("max-inflight", 0, "maximum concurrent engine-bound requests; excess requests get an immediate 503 with Retry-After (0 disables shedding)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: leaks process internals)")
 		workers    = flag.Int("workers", max(1, runtime.GOMAXPROCS(0)-1), "maintenance kernel fan-out width (0 = sequential reference path); the default leaves reads one core; results are identical at every setting")
 
-		replicaDir    = flag.String("replica-dir", "", "replication mode: node state directory (state bundle + replication log); serves /replica/* and journals every committed batch")
+		replicaDir    = flag.String("replica-dir", "", "replication mode: node state directory (state bundle + replication log); serves /replica/* and logs every committed batch")
 		replicateFrom = flag.String("replicate-from", "", "start as a warm-standby follower of this primary base URL (requires -replica-dir); reads serve locally, writes are fenced with 503 + X-Midas-Primary")
 		replicaListen = flag.String("replica-listen", "", "serve the /replica/* endpoints on this separate address instead of -addr (requires -replica-dir)")
 		replicaPeers  = flag.String("replica-peers", "", "comma-separated name=URL follower list the primary pushes its log to (requires -replica-dir)")
 
-		tenantsDir = flag.String("tenants-dir", "", "multi-tenant mode: serve one shard per tenant under <dir>/<tenant>/{state,journal,spool}; incompatible with -db/-state/-save/-watch/-journal")
+		tenantsDir = flag.String("tenants-dir", "", "multi-tenant mode: serve one shard per tenant under <dir>/<tenant>/{state,spool}; incompatible with -db/-state/-save/-watch")
 		tenantsMan = flag.String("tenants", "", "tenant manifest file (one tenant per line: id [key=value ...]); requires -tenants-dir")
 		adminOn    = flag.Bool("admin", true, "multi-tenant mode: expose POST/DELETE /admin/tenants/{id} for dynamic tenant lifecycle")
 		slots      = flag.Int("slots", 1, "multi-tenant mode: process slots in the placement ring")
@@ -151,7 +149,7 @@ func main() {
 			engine:   engine,
 			conflicts: map[string]bool{
 				"-state": *statePath != "", "-save": *savePath != "", "-watch": *watchDir != "",
-				"-journal": *jrnlPath != "", "-tenants-dir": *tenantsDir != "",
+				"-tenants-dir": *tenantsDir != "",
 			},
 		})
 		return
@@ -167,24 +165,23 @@ func main() {
 
 	if *tenantsDir != "" {
 		runTenants(logger, tenantsConfig{
-			dir:        *tenantsDir,
-			manifest:   *tenantsMan,
-			addr:       *addr,
-			admin:      *adminOn,
-			slots:      *slots,
-			slot:       *slot,
-			timeout:    *reqTimeout,
-			inflight:   *inflight,
-			queueSize:  *queueSize,
-			retries:    *retries,
-			backoff:    *backoff,
-			checkpoint: *checkpoint,
-			watchIvl:   *watchIvl,
-			workers:    *workers,
-			engine:     engine,
+			dir:       *tenantsDir,
+			manifest:  *tenantsMan,
+			addr:      *addr,
+			admin:     *adminOn,
+			slots:     *slots,
+			slot:      *slot,
+			timeout:   *reqTimeout,
+			inflight:  *inflight,
+			queueSize: *queueSize,
+			retries:   *retries,
+			backoff:   *backoff,
+			watchIvl:  *watchIvl,
+			workers:   *workers,
+			engine:    engine,
 			conflicts: map[string]bool{
 				"-db": *dbPath != "", "-state": *statePath != "", "-save": *savePath != "",
-				"-watch": *watchDir != "", "-journal": *jrnlPath != "", "-pprof": *pprofOn,
+				"-watch": *watchDir != "", "-pprof": *pprofOn,
 			},
 		})
 		return
@@ -192,22 +189,10 @@ func main() {
 	if *tenantsMan != "" {
 		logger.Fatalf("midas-serve: -tenants requires -tenants-dir")
 	}
-	// A journal without a bundle to reconcile against, or without a
-	// spool to journal, is meaningless: catch the misconfiguration at
-	// startup, not at the first batch.
-	if *jrnlPath != "" && *savePath == "" {
-		logger.Fatalf("midas-serve: -journal requires -save (the journal reconciles batches against the saved bundle)")
-	}
-	if *jrnlPath != "" && *watchDir == "" {
-		logger.Fatalf("midas-serve: -journal requires -watch (the journal records spool batches only)")
-	}
 	if *dbPath == "" && *statePath == "" {
 		logger.Fatalf("midas-serve: one of -db or -state is required")
 	}
-	paths := tenant.Paths{Restore: *statePath, Save: *savePath, Journal: *jrnlPath, Spool: *watchDir, DB: *dbPath}
-	if paths.Journal == "" && paths.Save != "" && paths.Spool != "" {
-		paths.Journal = paths.Save + ".journal"
-	}
+	paths := tenant.Paths{Restore: *statePath, Save: *savePath, Spool: *watchDir, DB: *dbPath}
 
 	// One registry backs /metrics and /debug/vars, fed by the panel
 	// middleware, the engine, the maintenance pipeline and the
@@ -220,7 +205,6 @@ func main() {
 		QueueSize:      *queueSize,
 		Retries:        *retries,
 		Backoff:        *backoff,
-		Checkpoint:     *checkpoint,
 		WatchInterval:  *watchIvl,
 		Telemetry:      reg,
 		Logger:         logger,

@@ -36,7 +36,7 @@ func newMetrics() *telemetry.Registry {
 // serve runs server until SIGINT or SIGTERM, then shuts down
 // gracefully: drain flips readiness to draining, the listener finishes
 // in-flight requests, and stop retires the serving stack (watchers,
-// maintenance queues, journals, final saves). A listener failure or a
+// maintenance queues, final saves). A listener failure or a
 // failed stop exits 1; a clean shutdown returns, and the process exits
 // 0.
 func serve(logger *telemetry.Logger, server *http.Server, drain func(), stop func(context.Context) error) {

@@ -33,7 +33,7 @@ type replicaConfig struct {
 	pprofOn  bool
 	engine   midas.Options
 	// conflicts maps flags the replication node owns itself (it manages
-	// its own bundle and journal) to whether they were set.
+	// its own bundle and replication log) to whether they were set.
 	conflicts map[string]bool
 }
 

@@ -16,21 +16,20 @@ import (
 
 // tenantsConfig carries the multi-tenant flags into runTenants.
 type tenantsConfig struct {
-	dir        string
-	manifest   string
-	addr       string
-	admin      bool
-	slots      int
-	slot       int
-	timeout    time.Duration
-	inflight   int
-	queueSize  int
-	retries    int
-	backoff    time.Duration
-	checkpoint int64
-	watchIvl   time.Duration
-	workers    int
-	engine     midas.Options
+	dir       string
+	manifest  string
+	addr      string
+	admin     bool
+	slots     int
+	slot      int
+	timeout   time.Duration
+	inflight  int
+	queueSize int
+	retries   int
+	backoff   time.Duration
+	watchIvl  time.Duration
+	workers   int
+	engine    midas.Options
 	// conflicts maps single-tenant flag names to whether they were set;
 	// tenant mode owns state paths itself, so any of them is a boot error.
 	conflicts map[string]bool
@@ -73,7 +72,6 @@ func runTenants(logger *telemetry.Logger, cfg tenantsConfig) {
 		QueueSize:      cfg.queueSize,
 		Retries:        cfg.retries,
 		Backoff:        cfg.backoff,
-		Checkpoint:     cfg.checkpoint,
 		WatchInterval:  cfg.watchIvl,
 		Budget:         tenant.NewBudget(cfg.workers),
 		Telemetry:      reg,
@@ -113,8 +111,8 @@ func runTenants(logger *telemetry.Logger, cfg tenantsConfig) {
 
 	logger.Infof("serving %d tenant(s) on %s (slot %d/%d)", registry.Len(), cfg.addr, cfg.slot, cfg.slots)
 	// Graceful shutdown drains every shard concurrently — each one
-	// stops its watcher, finishes queued batches, checkpoints its
-	// journal and saves its final bundle.
+	// stops its watcher, finishes queued batches and saves its final
+	// bundle.
 	serve(logger, &http.Server{Addr: cfg.addr, Handler: router},
 		func() { router.SetDraining(true) },
 		func(ctx context.Context) error {

@@ -86,7 +86,19 @@ func (d *Database) Remove(id int) bool {
 // new graphs.
 func (d *Database) NextID() int { return d.nextID }
 
-// Clone returns a deep copy of the database.
+// SetNextID restores an allocator saved with the database, so IDs of
+// graphs deleted before the save are not minted again. It reports
+// false, changing nothing, when next is below NextID: at or below a
+// live ID, or below what an earlier call set.
+func (d *Database) SetNextID(next int) bool {
+	if next < d.nextID {
+		return false
+	}
+	d.nextID = next
+	return true
+}
+
+// Clone returns a deep copy of the database, allocator included.
 func (d *Database) Clone() *Database {
 	c := NewDatabase()
 	for _, g := range d.graphs {
@@ -94,6 +106,7 @@ func (d *Database) Clone() *Database {
 			panic(err) // unreachable: source IDs are unique
 		}
 	}
+	c.nextID = d.nextID
 	return c
 }
 
@@ -139,9 +152,11 @@ func (d *Database) Apply(u Update) error {
 }
 
 // ApplyToCopy returns a copy of d with the update applied (D ⊕ ΔD),
-// sharing graph storage with d for untouched graphs.
+// sharing graph storage with d for untouched graphs. The copy's
+// allocator starts from d's.
 func (d *Database) ApplyToCopy(u Update) (*Database, error) {
 	c := NewDatabase()
+	c.nextID = d.nextID
 	del := make(map[int]struct{}, len(u.Delete))
 	for _, id := range u.Delete {
 		del[id] = struct{}{}

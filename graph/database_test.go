@@ -50,6 +50,20 @@ func TestDatabaseNextID(t *testing.T) {
 	if d.NextID() != 11 {
 		t.Fatalf("NextID after remove = %d, want 11 (IDs never reused)", d.NextID())
 	}
+	// Copies keep the allocator, although ID 10 is gone.
+	if c := d.Clone(); c.NextID() != 11 {
+		t.Fatalf("Clone NextID = %d, want 11", c.NextID())
+	}
+	if c, err := d.ApplyToCopy(Update{}); err != nil || c.NextID() != 11 {
+		t.Fatalf("ApplyToCopy NextID = %d, %v; want 11", c.NextID(), err)
+	}
+	d.Add(Path(3, "C", "N"))
+	if d.SetNextID(3) || d.SetNextID(10) || d.NextID() != 11 {
+		t.Fatalf("SetNextID accepted a value below the allocator: NextID = %d", d.NextID())
+	}
+	if !d.SetNextID(20) || d.NextID() != 20 {
+		t.Fatalf("SetNextID(20) left NextID = %d", d.NextID())
+	}
 }
 
 func TestDatabaseApply(t *testing.T) {

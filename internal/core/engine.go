@@ -209,11 +209,6 @@ type Engine struct {
 	// outcomes of every Maintain call.
 	tel *maintainTelemetry
 
-	// afterMaintain, when set via SetAfterMaintain, runs after every
-	// successful Maintain — the hook point for durability chores such
-	// as journal checkpointing.
-	afterMaintain func(Report)
-
 	// bootstrap is the breakdown of BootstrapTime: the stages the
 	// constructor ran, in order.
 	bootstrap []StageTiming
@@ -490,17 +485,6 @@ func (e *Engine) CSGs() *csg.Manager { return e.csgs }
 // publish no logs.
 func (e *Engine) SetQueryLogWeight(fn func(p *graph.Graph) float64) {
 	e.logWeight = fn
-}
-
-// SetAfterMaintain installs a hook that runs after every successful
-// Maintain/MaintainContext call, with the call's report. A failed (and
-// rolled-back) Maintain does not fire it. The hook runs on the calling
-// goroutine while the engine is still under the caller's lock, so it
-// must not re-enter the engine; it exists for durability chores keyed
-// to maintenance progress, such as compacting the batch journal
-// (Journal.MaybeCheckpoint). Pass nil to remove.
-func (e *Engine) SetAfterMaintain(fn func(Report)) {
-	e.afterMaintain = fn
 }
 
 // swapScore is s'_p, optionally scaled by the query-log weight.

@@ -122,9 +122,6 @@ func (e *Engine) MaintainContext(ctx context.Context, u graph.Update) (rep Repor
 
 	rep.Total = time.Since(start)
 	e.LastReport = rep
-	if e.afterMaintain != nil {
-		e.afterMaintain(rep)
-	}
 	return rep, nil
 }
 

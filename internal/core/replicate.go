@@ -62,9 +62,6 @@ func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns [
 
 	rep.Total = time.Since(start)
 	e.LastReport = rep
-	if e.afterMaintain != nil {
-		e.afterMaintain(rep)
-	}
 	return rep, nil
 }
 

@@ -348,7 +348,7 @@ func (g *CallGraph) resolveCall(pkg *Package, call *ast.CallExpr) CallSite {
 		// not the interface that declares the method: j.f.Close() on a
 		// vfs.File must only match implementers of the full File
 		// interface, not of the embedded io.Closer (which would pull in
-		// every type with a Close method, the *Journal included).
+		// every type with a Close method, the *RepLog included).
 		recv := sig.Recv().Type()
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if s, ok := pkg.Info.Selections[sel]; ok && s.Recv() != nil && types.IsInterface(s.Recv()) {

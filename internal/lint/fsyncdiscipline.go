@@ -26,7 +26,7 @@ import (
 //
 // The vfs package itself is the seam's production passthrough and is
 // exempt. Renames that are deliberately non-durable (e.g. quarantine
-// paths made idempotent by journal replay) belong in the allowlist
+// paths made idempotent by log replay) belong in the allowlist
 // with their justification.
 var FsyncDiscipline = &Analyzer{
 	Name: "fsyncdiscipline",

@@ -55,7 +55,6 @@ var canonicalLockOrder = []string{
 	"catapult.Metrics.mu", // selection metrics cache
 	"parallel.Cache.mu",   // memoized kernel results
 	"faultinject.mu",      // failpoint arming table
-	"store.Journal.mu",    // durability journal
 	"vfs.Sim.mu",          // simulated filesystem — innermost (under store I/O)
 }
 

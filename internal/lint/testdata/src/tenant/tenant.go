@@ -1,12 +1,12 @@
 // Package tenant is the golden-test stand-in for the real
 // internal/tenant package: lockscope treats its exported entry points
-// (shard cold starts, drains) as unbounded work — a drain checkpoints
-// a journal and saves a bundle, which must never run under a mutex.
+// (shard cold starts, drains) as unbounded work — a drain finishes
+// queued batches and saves a bundle, which must never run under a mutex.
 package tenant
 
 import "example.com/lintdata/snapshot"
 
-// Drain retires a shard: unbounded work (journal checkpoint, bundle
+// Drain retires a shard: unbounded work (queued batches, bundle
 // save, pipeline drain).
 func Drain(id string) error { return nil }
 

@@ -117,8 +117,8 @@ func (s *Server) SetReplicaInfo(info *ReplicaInfo) { s.replica = info }
 func (s *Server) SetRequestTimeout(d time.Duration) { s.timeout = d }
 
 // Pipeline returns the maintenance pipeline the server submits to.
-// Out-of-band producers (the spool Watcher) submit through it so
-// journal append order equals apply order.
+// Out-of-band producers (the spool Watcher) submit through it, so all
+// batches apply in one order.
 func (s *Server) Pipeline() *snapshot.Pipeline { return s.pipe }
 
 // Handle returns the generation pointer the read handlers load.
@@ -308,9 +308,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "no snapshot published\n")
 		return
 	}
-	// The detail clause carries the journal position and last-publish
-	// generation so a probe can tell how far a lagging shard is behind
-	// without a second request.
+	// The detail clause carries the applied-batch position and the
+	// last-publish generation so a probe can tell how far a lagging
+	// shard is behind without a second request.
 	detail := fmt.Sprintf("generation=%d lsn=%d", snap.Generation, s.lsn())
 	if ri := s.replica; ri != nil {
 		if ri.Role != nil {
@@ -328,9 +328,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ready (%s)\n", detail)
 }
 
-// lsn is the shard's current journal position: the replication-log
-// LSN when replicated, otherwise the count of batches applied by the
-// pipeline (each applied batch is one journal entry).
+// lsn is the shard's applied-batch count, or the replication-log LSN
+// on a replicated node.
 func (s *Server) lsn() uint64 {
 	if ri := s.replica; ri != nil && ri.LSN != nil {
 		return ri.LSN()

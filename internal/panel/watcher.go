@@ -27,47 +27,46 @@ import (
 // one per line. Processed files are renamed with a ".done" suffix so a
 // restart does not replay them.
 //
-// Every batch is applied through the maintenance pipeline (Pipe). With
-// a Journal attached, each batch goes through the write-ahead protocol
-// (begin → apply → persist → applied → rename → done), giving
-// exactly-once application across crashes: a batch journalled as
-// applied is never re-applied on restart, and one journalled as only
-// begun is safely re-applied because Maintain is transactional and the
-// persisted state bundle predates it.
+// Every batch is applied through the maintenance pipeline (Pipe), one
+// file at a time: apply → persist (the Persist hook records the batch's
+// name and checksum, which the pipeline owner saves into the state
+// bundle before the batch publishes) → rename to *.done. That record is
+// the exactly-once guarantee across crashes: a pending file the
+// restored bundle names, with the same checksum, was applied before the
+// crash and is only renamed; any other pending file is applied, because
+// Maintain is transactional and the saved bundle predates it.
 type Watcher struct {
 	Dir string
 	// Pipe is the maintenance pipeline every batch is submitted to. The
-	// journal Begin and the Persist hook run on the pipeline's single
-	// goroutine immediately around the apply, so journal append order
-	// equals apply order even when HTTP /maintain batches interleave
-	// with spool batches. The scan blocks until the batch is terminal,
-	// preserving spool ordering; a batch the pipeline gave up on (its
-	// retry budget spent, or an unretryable rejection) is parked as
-	// *.failed immediately — the pipeline already retried, so the
-	// watcher's own budget is not re-spun on a lost cause.
+	// Persist hook runs on the pipeline's single goroutine right after
+	// the apply, so the bundle records spool batches in apply order even
+	// when HTTP /maintain batches interleave with them. The scan blocks
+	// until the batch is terminal, preserving spool ordering; a batch
+	// the pipeline gave up on (its retry budget spent, or an
+	// unretryable rejection) is parked as *.failed immediately — the
+	// pipeline already retried, so the watcher's own budget is not
+	// re-spun on a lost cause.
 	Pipe *snapshot.Pipeline
 	// OnBatch, if set, observes each applied batch's report.
 	OnBatch func(file string, rep midas.MaintenanceReport)
 	// Logf, if set, receives progress lines (e.g. log.Printf).
 	Logf func(format string, args ...interface{})
 
-	// Journal, if set, records each batch's lifecycle durably for
-	// exactly-once recovery. Persist, if set, runs on the pipeline
-	// goroutine after every successful Maintain, in the batch's After
-	// slot, before the pipeline owner saves the state bundle; it
-	// receives the batch name and content checksum for the bundle
-	// metadata.
-	Journal *store.Journal
+	// Persist, if set, runs on the pipeline goroutine after every
+	// successful Maintain, in the batch's After slot, before the
+	// pipeline owner saves the state bundle; it receives the batch name
+	// and content checksum for the bundle metadata.
 	Persist func(name string, sum uint32) error
-	// LastApplied/LastAppliedSum seed recovery from the state bundle's
-	// metadata: a batch whose begin record survived a crash but whose
-	// effects are already in the loaded bundle is not re-applied.
+	// LastApplied/LastAppliedSum name the last batch this watcher knows
+	// applied. They are seeded from the restored bundle's metadata, so
+	// a batch whose effects are in the loaded bundle but whose rename
+	// was lost is not re-applied, and are updated after every applied
+	// batch, so a failed rename does not re-apply it on the next scan.
 	LastApplied    string
 	LastAppliedSum uint32
 
 	// FS is the filesystem seam for all spool I/O (nil = the real
-	// filesystem). The crash-consistency sweep runs the watcher's file
-	// protocol against the simulator through it.
+	// filesystem). Tests inject faults through a simulated one.
 	FS vfs.FS
 
 	// MaxRetries bounds the retry budget: how many failing attempts a
@@ -109,11 +108,11 @@ func (w *Watcher) maxRetries() int {
 }
 
 // Scan applies every pending spool file once, oldest name first, and
-// returns the number of batches applied. It is the unit the polling
-// loop calls; tests call it directly. A failing batch stops the scan
-// (preserving batch order) and stays in place for inspection until it
-// has failed MaxRetries scans, after which it is renamed *.failed and
-// skipped.
+// returns the number of batches applied; the file LastApplied names is
+// settled before all others. It is the unit the polling loop calls;
+// tests call it directly. A failing batch stops the scan (preserving
+// batch order) and stays in place for inspection until it has failed
+// MaxRetries scans, after which it is renamed *.failed and skipped.
 func (w *Watcher) Scan() (int, error) {
 	entries, err := w.fs().ReadDir(w.Dir)
 	if err != nil {
@@ -129,6 +128,7 @@ func (w *Watcher) Scan() (int, error) {
 		}
 	}
 	sort.Strings(names)
+	names = w.settleFirst(names)
 	applied := 0
 	now := w.now()
 	for _, name := range names {
@@ -152,6 +152,26 @@ func (w *Watcher) Scan() (int, error) {
 	}
 	w.failures = 0
 	return applied, nil
+}
+
+// settleFirst moves the pending file LastApplied names to the front of
+// names when its content still matches LastAppliedSum. That batch is
+// applied already and only its rename is outstanding (a crash or a
+// failed rename came between the save and the rename). Applying any
+// other file before it would overwrite the record and apply it twice.
+func (w *Watcher) settleFirst(names []string) []string {
+	for i, name := range names {
+		if name != w.LastApplied {
+			continue
+		}
+		data, err := w.fs().ReadFile(filepath.Join(w.Dir, name))
+		if err == nil && store.ChecksumBytes(data) == w.LastAppliedSum {
+			copy(names[1:i+1], names[:i])
+			names[0] = name
+		}
+		break
+	}
+	return names
 }
 
 // retryDelay is the backoff before the named batch's next attempt after
@@ -230,10 +250,10 @@ func writeFileSync(fsys vfs.FS, path string, b []byte) error {
 	return f.Close()
 }
 
-// processBatch runs one spool file through parse → journal begin →
-// maintain → persist → journal applied → rename → journal done.
-// Reports whether the batch was applied in this call (false when
-// recovery found it already applied and only the rename was replayed).
+// processBatch runs one spool file through parse → maintain → persist
+// → rename. Reports whether the batch was applied in this call (false
+// when recovery found it already applied and only the rename was
+// replayed).
 func (w *Watcher) processBatch(name string) (bool, error) {
 	path := filepath.Join(w.Dir, name)
 	data, err := w.fs().ReadFile(path)
@@ -245,7 +265,7 @@ func (w *Watcher) processBatch(name string) (bool, error) {
 	if w.alreadyApplied(name, sum) {
 		// Crash between persisting the bundle and renaming the spool
 		// file: finish the rename without re-applying.
-		if err := w.finishBatch(name, path); err != nil {
+		if err := w.finishBatch(path); err != nil {
 			return false, err
 		}
 		if w.Logf != nil {
@@ -257,51 +277,30 @@ func (w *Watcher) processBatch(name string) (bool, error) {
 	return w.apply(name, path, string(data), sum)
 }
 
-// alreadyApplied reports whether recovery evidence shows the named
-// batch's effects are durably in the engine state: either the journal
-// has an applied record, or the state bundle's metadata names it as the
-// last applied batch (closing the crash window between persisting the
-// bundle and journalling "applied"). The checksum ties the verdict to
-// the file contents — a same-named batch with different content is new
-// work.
+// alreadyApplied reports whether the named batch's effects are already
+// in the engine state: it is the last batch applied, by the restored
+// bundle's metadata or by this watcher since. The checksum ties the
+// verdict to the file contents — a same-named batch with different
+// content is new work.
 func (w *Watcher) alreadyApplied(name string, sum uint32) bool {
-	if w.Journal != nil {
-		if st, jsum, ok := w.Journal.State(name); ok && jsum == sum && st >= store.Applied {
-			return true
-		}
-	}
 	return name == w.LastApplied && sum == w.LastAppliedSum
 }
 
-// finishBatch renames the spool file out of the way (making the rename
-// durable with a directory sync before the done record ties the journal
-// to it) and journals done.
-func (w *Watcher) finishBatch(name, path string) error {
+// finishBatch renames the spool file out of the way and makes the
+// rename durable with a directory sync.
+func (w *Watcher) finishBatch(path string) error {
 	if err := w.fs().Rename(path, path+".done"); err != nil {
 		return err
 	}
-	if err := w.fs().SyncDir(w.Dir); err != nil {
-		return err
-	}
-	if w.Journal != nil {
-		// Ensure a done record exists even when recovery skipped Begin.
-		if _, _, ok := w.Journal.State(name); !ok {
-			if err := w.Journal.Begin(name, 0); err != nil {
-				return err
-			}
-		}
-		return w.Journal.MarkDone(name)
-	}
-	return nil
+	return w.fs().SyncDir(w.Dir)
 }
 
 // apply runs one spool batch through the maintenance pipeline: parse
-// here, then journal begin → maintain → persist on the pipeline
-// goroutine (so the journal records batches in apply order), then
-// journal applied → rename → journal done back here once the result
-// arrives. Blocking on the result keeps spool ordering; the pipeline
-// owns the retry/backoff budget, so a terminal failure parks the file
-// immediately rather than re-spinning the watcher's budget.
+// here, then maintain → persist on the pipeline goroutine, then rename
+// back here once the result arrives. Blocking on the result keeps
+// spool ordering; the pipeline owns the retry/backoff budget, so a
+// terminal failure parks the file immediately rather than re-spinning
+// the watcher's budget.
 func (w *Watcher) apply(name, path, data string, sum uint32) (bool, error) {
 	u, err := w.parseBatchShape(path, data)
 	if err != nil {
@@ -310,12 +309,6 @@ func (w *Watcher) apply(name, path, data string, sum uint32) (bool, error) {
 	tkt, err := w.Pipe.Submit(snapshot.Batch{
 		Name:   name,
 		Update: u,
-		Before: func() error {
-			if w.Journal != nil {
-				return w.Journal.Begin(name, sum)
-			}
-			return nil
-		},
 		After: func(midas.MaintenanceReport) error {
 			if w.Persist != nil {
 				return w.Persist(name, sum)
@@ -343,12 +336,10 @@ func (w *Watcher) apply(name, path, data string, sum uint32) (bool, error) {
 		delete(w.nextTry, name)
 		return false, nil
 	}
-	if w.Journal != nil {
-		if err := w.Journal.MarkApplied(name); err != nil {
-			return false, err
-		}
-	}
-	if err := w.finishBatch(name, path); err != nil {
+	// The batch is applied: should the rename below fail, the next scan
+	// must only retry the rename.
+	w.LastApplied, w.LastAppliedSum = name, sum
+	if err := w.finishBatch(path); err != nil {
 		return false, err
 	}
 	if w.Logf != nil {

@@ -1,4 +1,4 @@
-// Package replica implements journal-shipping replication for MIDAS
+// Package replica implements log-shipping replication for MIDAS
 // serving shards: a primary appends every committed maintenance batch
 // to a durable replication log (store.RepLog) and streams it to warm
 // followers, which re-apply the batches through their own snapshot

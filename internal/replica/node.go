@@ -97,7 +97,7 @@ type Config struct {
 	// are rebuilt at Shard.Engine.Workers; bundles and fingerprints
 	// record Workers as 0, so the nodes of one pair may run different
 	// worker counts. The node sets NewEngine, Admit and Commit itself;
-	// the registry, journal and spool settings do not apply.
+	// the registry and spool settings do not apply.
 	Shard tenant.Options
 	// ShipBackoff seeds the replication loops' retry schedule
 	// (capped exponential with deterministic jitter; default 50ms).

@@ -15,7 +15,7 @@ import (
 // TestPanelOverReplica serves the full panel route table over a
 // replicated pair: follower reads answer lock-free with the replica
 // headers, follower writes are fenced with the redirect hints, and
-// /readyz details the journal position.
+// /readyz details the log position.
 func TestPanelOverReplica(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
 	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
@@ -80,7 +80,7 @@ func TestPanelOverReplica(t *testing.T) {
 		t.Fatalf("X-Midas-Primary = %q, want %q", got, psrv.URL)
 	}
 
-	// /readyz details the journal position, generation and role.
+	// /readyz details the log position, generation and role.
 	resp, err = http.Get(fpanel.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)

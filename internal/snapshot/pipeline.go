@@ -24,7 +24,7 @@ var (
 
 // Batch is one unit of maintenance work submitted to the pipeline.
 type Batch struct {
-	// Name identifies the batch in logs, poison records and journals.
+	// Name identifies the batch in logs and poison records.
 	Name string
 	// Update is the Δ+/Δ- payload. Colliding insert IDs are remapped on
 	// the maintenance goroutine right before application (clients often
@@ -36,11 +36,10 @@ type Batch struct {
 	// their request context; spool batches leave it nil and run under
 	// the pipeline's lifetime.
 	Ctx context.Context
-	// Before, when set, runs on the maintenance goroutine immediately
-	// before the batch is applied — the write-ahead journal's Begin
-	// slot. Running it here, on the single consumer, makes journal
-	// append order equal apply order by construction. An error fails
-	// the attempt (retried like any other failure).
+	// Before, when set, is the pre-apply hook: it runs on the
+	// maintenance goroutine immediately before the batch is applied,
+	// so it observes batches in apply order. An error fails the attempt
+	// (retried like any other failure).
 	Before func() error
 	// After, when set, runs on the maintenance goroutine after the
 	// batch applied, before the new generation is published — the

@@ -12,9 +12,9 @@ import (
 
 // ErrCorrupt marks on-disk bytes that failed validation (checksum
 // mismatch, truncation, unparseable structure). Errors returned by the
-// bundle and journal recovery paths wrap it together with the offending
-// path, so callers can errors.Is(err, store.ErrCorrupt) and still see
-// which file died.
+// bundle recovery path wrap it together with the offending path, so
+// callers can errors.Is(err, store.ErrCorrupt) and still see which file
+// died.
 var ErrCorrupt = errors.New("corrupt data")
 
 // Suffixes of the generational bundle scheme. For a bundle at "state":
@@ -43,9 +43,6 @@ type SalvageReport struct {
 	// RolledBack: the current generation was missing or corrupt and the
 	// previous generation was restored.
 	RolledBack bool
-	// JournalTailBytes counts torn journal bytes truncated and
-	// quarantined (set by Recover).
-	JournalTailBytes int
 }
 
 // Degraded reports whether the recovered state may be older than the
@@ -53,12 +50,6 @@ type SalvageReport struct {
 // files and re-submit recent batches if needed.
 func (r SalvageReport) Degraded() bool {
 	return r.RolledBack || len(r.Quarantined) > 0
-}
-
-// Empty reports whether recovery was a clean load with no salvage.
-func (r SalvageReport) Empty() bool {
-	return !r.RolledForward && !r.RolledBack &&
-		len(r.Quarantined) == 0 && r.JournalTailBytes == 0
 }
 
 // SaveBundle durably replaces the bundle at path with the bytes
@@ -230,49 +221,4 @@ func LoadBundle(fsys vfs.FS, path string, validate func([]byte) error) ([]byte, 
 			path, ErrCorrupt, firstBad)
 	}
 	return nil, rep, fmt.Errorf("store: bundle %s: %w", path, os.ErrNotExist)
-}
-
-// RecoverResult is the outcome of Recover: the best recoverable bundle
-// (nil when none exists on disk), the opened journal (nil when no
-// journal path was given), and everything salvage had to do.
-type RecoverResult struct {
-	Bundle  []byte
-	Journal *Journal
-	Salvage SalvageReport
-}
-
-// Recover is the salvage-mode startup path used by midas-serve and
-// midas-maintain: load the bundle with LoadBundle, open the journal
-// with OpenJournalFS, and fold both salvage reports together. Unlike
-// LoadBundle, an all-generations-corrupt bundle is not an error: the
-// damage is already quarantined, so the caller starts degraded (empty
-// state, salvage report populated) instead of crash-looping. Only
-// unexpected I/O errors are returned.
-func Recover(fsys vfs.FS, bundlePath, journalPath string, validate func([]byte) error) (*RecoverResult, error) {
-	res := &RecoverResult{}
-	data, rep, err := LoadBundle(fsys, bundlePath, validate)
-	res.Salvage = rep
-	switch {
-	case err == nil:
-		res.Bundle = data
-	case errors.Is(err, os.ErrNotExist):
-		// First boot: nothing to recover.
-	case errors.Is(err, ErrCorrupt):
-		// Every generation failed validation and is quarantined; start
-		// degraded rather than refuse to start.
-	default:
-		return nil, err
-	}
-	if journalPath != "" {
-		j, err := OpenJournalFS(fsys, journalPath)
-		if err != nil {
-			return nil, err
-		}
-		res.Journal = j
-		if s := j.Salvage(); s.TailBytes > 0 {
-			res.Salvage.JournalTailBytes = s.TailBytes
-			res.Salvage.Quarantined = append(res.Salvage.Quarantined, s.QuarantinePath)
-		}
-	}
-	return res, nil
 }

@@ -16,7 +16,7 @@
 // recovery a second time must not change the outcome (idempotence).
 //
 // Fingerprints must capture logical state only — bundle content,
-// journal decisions, spool listings — never incidental artifacts such
+// replication-log positions, spool listings — never incidental artifacts such
 // as .prev/.tmp/.corrupt files, whose presence legitimately varies with
 // the crash point.
 package crashtest

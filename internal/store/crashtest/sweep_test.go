@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"github.com/midas-graph/midas/internal/store"
@@ -44,6 +45,38 @@ func TestSweepCatchesBrokenDiscipline(t *testing.T) {
 	}
 	if len(res.Violations) == 0 {
 		t.Fatal("sweep accepted an in-place overwrite; the checker has no teeth")
+	}
+}
+
+// TestSweepCatchesBrokenSpoolOrder pins the checker's teeth for the
+// spool protocol: a watcher that renames the spool file before saving
+// the bundle loses the batch when it crashes between the two — the
+// file is already *.done, so recovery has nothing to apply, and the
+// bundle never took it.
+func TestSweepCatchesBrokenSpoolOrder(t *testing.T) {
+	renameFirst := func(fsys vfs.FS, name string) error {
+		data, err := fsys.ReadFile(spoolDir + "/" + name)
+		if err != nil {
+			return err
+		}
+		if err := retireBatch(fsys, name); err != nil {
+			return err
+		}
+		return applyBatch(fsys, name, data)
+	}
+	res, err := Sweep(spoolWorkload("broken-spool-order", renameFirst), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := false
+	for _, v := range res.Violations {
+		if v.Err == nil && strings.HasPrefix(v.Fingerprint, "state=v1+g0 ") {
+			lost = true
+		}
+	}
+	if !lost {
+		t.Fatalf("sweep accepted a rename before the bundle save (%d violations, none a lost batch); the checker has no teeth",
+			len(res.Violations))
 	}
 }
 

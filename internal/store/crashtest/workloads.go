@@ -14,21 +14,21 @@ import (
 
 // The on-disk layout every workload uses.
 const (
-	statePath   = "d/state"
-	journalPath = "d/journal"
-	spoolDir    = "d/spool"
-	batchName   = "b1.graphs"
+	statePath = "d/state"
+	spoolDir  = "d/spool"
+	batchName = "b1.graphs"
+	// lateName sorts before batchName and arrives after the watcher
+	// listed the spool, so the swept step does not take it: recovery
+	// finds it pending beside whatever the crash left of batchName.
+	lateName = "a0.graphs"
 )
 
 // Workloads returns the durable-work scenarios the sweep covers: the
-// generational bundle save, the journal record protocol (append through
-// all-done truncation), journal checkpoint compaction, and the full
-// spool batch protocol with its restart recovery.
+// generational bundle save, the full spool batch protocol with its
+// restart recovery, and a replication follower's install.
 func Workloads() []Workload {
 	return []Workload{
 		saveBundleWorkload(),
-		journalAppendWorkload(),
-		journalCheckpointWorkload(),
 		spoolBatchWorkload(),
 		followerInstallWorkload(),
 	}
@@ -43,8 +43,8 @@ func Workloads() []Workload {
 //	<crc32 hex of rest> last=<batch|-> sum=<crc32 hex> state=<content>
 //
 // "last"/"sum" mirror the server's bundle metadata (the last applied
-// spool batch), which closes the crash window between saving state and
-// journalling the batch as applied.
+// spool batch), the record that settles a spool batch after a crash
+// between saving state and renaming the spool file.
 
 type bundleMeta struct {
 	last    string
@@ -97,15 +97,17 @@ func validateBundle(b []byte) error {
 	return err
 }
 
+// save writes m as the next generation of the bundle at statePath.
+func save(fsys vfs.FS, m bundleMeta) error {
+	return store.SaveBundle(fsys, statePath, func(w io.Writer) error {
+		_, err := w.Write(encodeBundle(m))
+		return err
+	})
+}
+
 // --- workload: generational bundle save --------------------------------
 
 func saveBundleWorkload() Workload {
-	save := func(fsys vfs.FS, m bundleMeta) error {
-		return store.SaveBundle(fsys, statePath, func(w io.Writer) error {
-			_, err := w.Write(encodeBundle(m))
-			return err
-		})
-	}
 	return Workload{
 		Name: "save-bundle",
 		Prepare: func(fsys vfs.FS) error {
@@ -132,139 +134,27 @@ func saveBundleWorkload() Workload {
 	}
 }
 
-// --- workload: journal record protocol ---------------------------------
-
-// journalStep opens the journal, applies one record, and closes it.
-// Opening a clean journal adds no mutating operations, so the crash
-// points are exactly the appends.
-func journalStep(do func(j *store.Journal) error) Step {
-	return func(fsys vfs.FS) error {
-		j, err := store.OpenJournalFS(fsys, journalPath)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		return do(j)
-	}
-}
-
-// journalFingerprint is the journal's logical recovery state: the
-// entries that still demand action. Done entries (and the truncation
-// that eventually drops them) are invisible by design.
-func journalFingerprint(j *store.Journal) string {
-	var parts []string
-	for _, name := range j.Pending() {
-		st, sum, _ := j.State(name)
-		parts = append(parts, fmt.Sprintf("%s=%s:%08x", name, st, sum))
-	}
-	return "journal{" + strings.Join(parts, ",") + "}"
-}
-
-func recoverJournal(fsys vfs.FS) (string, error) {
-	j, err := store.OpenJournalFS(fsys, journalPath)
-	if err != nil {
-		return "", err
-	}
-	defer j.Close()
-	return journalFingerprint(j), nil
-}
-
-func journalAppendWorkload() Workload {
-	return Workload{
-		Name: "journal-append",
-		Prepare: func(fsys vfs.FS) error {
-			j, err := store.OpenJournalFS(fsys, journalPath)
-			if err != nil {
-				return err
-			}
-			return j.Close()
-		},
-		Steps: []Step{
-			journalStep(func(j *store.Journal) error { return j.Begin("b1", 0x1111) }),
-			journalStep(func(j *store.Journal) error { return j.MarkApplied("b1") }),
-			journalStep(func(j *store.Journal) error { return j.Begin("b2", 0x2222) }),
-			journalStep(func(j *store.Journal) error { return j.MarkApplied("b2") }),
-			journalStep(func(j *store.Journal) error { return j.MarkDone("b1") }),
-			// The final MarkDone leaves no pending entries and
-			// truncates the journal in place.
-			journalStep(func(j *store.Journal) error { return j.MarkDone("b2") }),
-		},
-		Recover: recoverJournal,
-	}
-}
-
-// --- workload: journal checkpoint compaction ---------------------------
-
-func journalCheckpointWorkload() Workload {
-	return Workload{
-		Name: "journal-checkpoint",
-		Prepare: func(fsys vfs.FS) error {
-			j, err := store.OpenJournalFS(fsys, journalPath)
-			if err != nil {
-				return err
-			}
-			defer j.Close()
-			// Steady-state mix: one applied, one done (compactable),
-			// one begun.
-			for _, op := range []func() error{
-				func() error { return j.Begin("b0", 0x0a0a) },
-				func() error { return j.MarkApplied("b0") },
-				func() error { return j.Begin("b1", 0x1b1b) },
-				func() error { return j.MarkApplied("b1") },
-				func() error { return j.MarkDone("b1") },
-				func() error { return j.Begin("b2", 0x2c2c) },
-			} {
-				if err := op(); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Steps: []Step{
-			journalStep(func(j *store.Journal) error {
-				j.SetCheckpointThreshold(1)
-				ran, err := j.MaybeCheckpoint()
-				if err == nil && !ran {
-					return errors.New("checkpoint did not run")
-				}
-				return err
-			}),
-		},
-		// Compaction must never change recovery decisions: pre and
-		// post fingerprints are identical, so every crash point must
-		// land on that single state.
-		Recover: recoverJournal,
-	}
-}
-
 // --- workload: spool batch protocol ------------------------------------
 
 // processBatch is the store-level model of the panel watcher's batch
-// protocol: begin → apply (here: append the batch text to the bundle
-// content, a deliberately non-idempotent operation so double-apply is
-// visible) → save bundle with last-batch metadata → applied → rename
-// the spool file away → done.
+// protocol: apply (here: append the batch text to the bundle content, a
+// deliberately non-idempotent operation so double-apply is visible) →
+// save the bundle with the batch's name and checksum as its last-batch
+// record → rename the spool file to *.done → sync the spool directory.
 func processBatch(fsys vfs.FS, name string) error {
-	j, err := store.OpenJournalFS(fsys, journalPath)
+	data, err := fsys.ReadFile(spoolDir + "/" + name)
 	if err != nil {
 		return err
 	}
-	defer j.Close()
-	spool := spoolDir + "/" + name
-	data, err := fsys.ReadFile(spool)
-	if err != nil {
+	if err := applyBatch(fsys, name, data); err != nil {
 		return err
 	}
-	sum := store.ChecksumBytes(data)
-	if err := j.Begin(name, sum); err != nil {
-		return err
-	}
-	return applyAndFinish(fsys, j, name, sum, data)
+	return retireBatch(fsys, name)
 }
 
-// applyAndFinish runs the batch protocol from after Begin: apply, save,
-// mark applied, retire the spool file, mark done.
-func applyAndFinish(fsys vfs.FS, j *store.Journal, name string, sum uint32, data []byte) error {
+// applyBatch applies the batch to the bundle and saves it with the
+// batch's last-batch record.
+func applyBatch(fsys vfs.FS, name string, data []byte) error {
 	cur, _, err := store.LoadBundle(fsys, statePath, validateBundle)
 	if err != nil {
 		return err
@@ -274,125 +164,67 @@ func applyAndFinish(fsys vfs.FS, j *store.Journal, name string, sum uint32, data
 		return err
 	}
 	m.content += "+" + string(data)
-	m.last, m.lastSum = name, sum
-	if err := store.SaveBundle(fsys, statePath, func(w io.Writer) error {
-		_, err := w.Write(encodeBundle(m))
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := j.MarkApplied(name); err != nil {
-		return err
-	}
-	return finishBatch(fsys, j, name)
+	m.last, m.lastSum = name, store.ChecksumBytes(data)
+	return save(fsys, m)
 }
 
-// finishBatch retires the spool file and records done.
-func finishBatch(fsys vfs.FS, j *store.Journal, name string) error {
+// retireBatch renames the spool file to *.done and makes the rename
+// durable.
+func retireBatch(fsys vfs.FS, name string) error {
 	spool := spoolDir + "/" + name
-	if _, err := fsys.Stat(spool); err == nil {
-		if err := fsys.Rename(spool, spool+".done"); err != nil {
-			return err
-		}
-		if err := fsys.SyncDir(spoolDir); err != nil {
-			return err
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	if err := fsys.Rename(spool, spool+".done"); err != nil {
 		return err
 	}
-	return j.MarkDone(name)
+	return fsys.SyncDir(spoolDir)
 }
 
-// recoverSpool is the restart path: salvage bundle + journal via
-// store.Recover, settle every pending journal entry (using the bundle's
-// last-batch metadata to avoid double-applying a batch whose applied
-// record was lost), then scan the spool for batches the journal never
-// saw. It converges: every crash state recovers to the fully-processed
-// state.
+// recoverSpool is the restart path: load the bundle with salvage, then
+// scan the spool as the watcher does. A pending file that the bundle's
+// last-batch record names, with the same checksum, is already applied
+// (the crash hit between the save and the rename), so it is only
+// renamed, and before any other file: applying another first would
+// overwrite the record. Every other pending file is applied, in name
+// order. Every crash state recovers to a fully processed state.
 func recoverSpool(fsys vfs.FS) (string, error) {
-	res, err := store.Recover(fsys, statePath, journalPath, validateBundle)
+	data, _, err := store.LoadBundle(fsys, statePath, validateBundle)
 	if err != nil {
 		return "", err
 	}
-	j := res.Journal
-	defer j.Close()
-	if res.Bundle == nil {
-		return "", errors.New("spool recovery: bundle lost")
-	}
-	m, err := decodeBundle(res.Bundle)
+	m, err := decodeBundle(data)
 	if err != nil {
 		return "", err
 	}
-
-	// Settle entries the journal knows about.
-	for _, name := range j.Pending() {
-		st, sum, _ := j.State(name)
-		data, rerr := fsys.ReadFile(spoolDir + "/" + name)
-		switch st {
-		case store.Applied:
-			// Bundle is saved; just retire the spool file (if its
-			// rename was lost) and close out.
-			if err := finishBatch(fsys, j, name); err != nil {
-				return "", err
-			}
-		case store.Begun:
-			if rerr != nil {
-				return "", fmt.Errorf("spool recovery: begun entry %s has no spool file: %w", name, rerr)
-			}
-			if m.last == name && m.lastSum == sum && store.ChecksumBytes(data) == sum {
-				// The bundle already contains this batch: the crash hit
-				// between the bundle save and the applied record.
-				if err := j.MarkApplied(name); err != nil {
-					return "", err
-				}
-				if err := finishBatch(fsys, j, name); err != nil {
-					return "", err
-				}
-				continue
-			}
-			if err := applyAndFinish(fsys, j, name, store.ChecksumBytes(data), data); err != nil {
-				return "", err
-			}
-		}
-	}
-
-	// Scan for spool files the journal never recorded — including a
-	// batch whose entire journal lifecycle was lost but whose apply
-	// survived in the bundle metadata.
 	entries, err := fsys.ReadDir(spoolDir)
 	if err != nil {
 		return "", err
 	}
+	var pending []string
 	for _, e := range entries {
 		if e.IsDir || !strings.HasSuffix(e.Name, ".graphs") {
 			continue
 		}
-		if _, _, ok := j.State(e.Name); ok {
-			continue
-		}
-		data, err := fsys.ReadFile(spoolDir + "/" + e.Name)
-		if err != nil {
-			return "", err
-		}
-		sum := store.ChecksumBytes(data)
-		if err := j.Begin(e.Name, sum); err != nil {
-			return "", err
-		}
-		if m.last == e.Name && m.lastSum == sum {
-			if err := j.MarkApplied(e.Name); err != nil {
+		if e.Name == m.last {
+			batch, err := fsys.ReadFile(spoolDir + "/" + e.Name)
+			if err != nil {
 				return "", err
 			}
-			if err := finishBatch(fsys, j, e.Name); err != nil {
-				return "", err
+			if store.ChecksumBytes(batch) == m.lastSum {
+				if err := retireBatch(fsys, e.Name); err != nil {
+					return "", err
+				}
+				continue
 			}
-			continue
 		}
-		if err := applyAndFinish(fsys, j, e.Name, sum, data); err != nil {
+		pending = append(pending, e.Name)
+	}
+	sort.Strings(pending)
+	for _, name := range pending {
+		if err := processBatch(fsys, name); err != nil {
 			return "", err
 		}
 	}
 
-	// Fingerprint: bundle content + journal decisions + spool listing.
+	// Fingerprint: bundle content and record plus the spool listing.
 	final, _, err := store.LoadBundle(fsys, statePath, validateBundle)
 	if err != nil {
 		return "", err
@@ -410,11 +242,11 @@ func recoverSpool(fsys vfs.FS) (string, error) {
 		names = append(names, e.Name)
 	}
 	sort.Strings(names)
-	return fmt.Sprintf("state=%s last=%s %s spool=[%s]",
-		fm.content, fm.last, journalFingerprint(j), strings.Join(names, ",")), nil
+	return fmt.Sprintf("state=%s last=%s spool=[%s]",
+		fm.content, fm.last, strings.Join(names, ",")), nil
 }
 
-// --- workload: follower bundle-fetch + journal-suffix install -----------
+// --- workload: follower bundle-fetch + log-suffix install ---------------
 
 // The on-disk layout of a replication follower (internal/replica):
 // a state bundle plus the replication log it tails.
@@ -437,7 +269,7 @@ func followerInstallWorkload() Workload {
 		upLSN   = 2 // the upstream bundle's position
 		upEpoch = 1
 	)
-	// The streamed journal suffix: two committed batches past the
+	// The streamed log suffix: two committed batches past the
 	// bundle.
 	recs := []store.RepRecord{
 		{Kind: store.RecData, LSN: 3, Epoch: upEpoch, Name: "r3", Data: []byte("r3")},
@@ -554,44 +386,42 @@ func recoverFollower(fsys vfs.FS) (string, error) {
 		m.content, lsn, l.FirstLSN(), l.LastLSN(), l.Epoch()), nil
 }
 
+// spoolBatchWorkload sweeps one spool batch through step. The real
+// protocol is processBatch; the sweep's teeth test passes a broken one.
 func spoolBatchWorkload() Workload {
+	return spoolWorkload("spool-batch", processBatch)
+}
+
+func spoolWorkload(name string, step func(fsys vfs.FS, name string) error) Workload {
 	return Workload{
-		Name: "spool-batch",
+		Name: name,
 		Prepare: func(fsys vfs.FS) error {
-			if err := store.SaveBundle(fsys, statePath, func(w io.Writer) error {
-				_, err := w.Write(encodeBundle(bundleMeta{content: "v1"}))
-				return err
-			}); err != nil {
+			if err := save(fsys, bundleMeta{content: "v1"}); err != nil {
 				return err
 			}
-			j, err := store.OpenJournalFS(fsys, journalPath)
-			if err != nil {
-				return err
-			}
-			if err := j.Close(); err != nil {
-				return err
-			}
-			f, err := fsys.OpenFile(spoolDir+"/"+batchName, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-			if err != nil {
-				return err
-			}
-			if _, err := io.WriteString(f, "g1"); err != nil {
-				return err
-			}
-			if err := f.Sync(); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
+			for _, b := range []struct{ name, data string }{{batchName, "g1"}, {lateName, "g0"}} {
+				f, err := fsys.OpenFile(spoolDir+"/"+b.name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+				if err != nil {
+					return err
+				}
+				if _, err := io.WriteString(f, b.data); err != nil {
+					return err
+				}
+				if err := f.Sync(); err != nil {
+					return err
+				}
+				if err := f.Close(); err != nil {
+					return err
+				}
 			}
 			return fsys.SyncDir(spoolDir)
 		},
 		Steps: []Step{
-			func(fsys vfs.FS) error { return processBatch(fsys, batchName) },
+			func(fsys vfs.FS) error { return step(fsys, batchName) },
 		},
-		// Spool recovery converges: both step boundaries recover to the
-		// same fully-processed state, so every crash point must too —
-		// with the batch applied exactly once.
+		// Recovery from the pre-batch boundary applies a0 then b1, from
+		// the post-batch boundary b1 then a0; every crash point must
+		// recover to one of the two, with each batch applied once.
 		Recover: recoverSpool,
 	}
 }

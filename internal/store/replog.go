@@ -166,10 +166,9 @@ func DecodeRecords(b []byte) ([]RepRecord, error) {
 // batch is one framed, CRC'd record tagged with a contiguous LSN and
 // the primacy epoch it was committed under; epoch transitions are
 // control records in the same sequence, so fencing is totally ordered
-// with data. Opening salvages the valid prefix exactly like the batch
-// journal: the first record that fails to parse cuts the log, the torn
-// tail is quarantined to *.corrupt, and appends continue after the
-// prefix.
+// with data. Opening salvages the valid prefix: the first record that
+// fails to parse cuts the log, the torn tail is quarantined to
+// *.corrupt, and appends continue after the prefix.
 //
 // RepLog is safe for concurrent use: the maintenance goroutine appends
 // while shipper goroutines ReadFrom/Wait the tail.
@@ -188,7 +187,7 @@ type RepLog struct {
 	// tail is a no-op.
 	lastName string
 	lastSum  uint32
-	salvage  JournalSalvage
+	salvage  TailSalvage
 	// tailCh is closed and replaced on every append; Wait blocks on it.
 	tailCh chan struct{}
 }
@@ -251,10 +250,9 @@ func OpenRepLogFS(fsys vfs.FS, path string) (*RepLog, error) {
 			f.Close()
 			return nil, fmt.Errorf("store: replication log repair sync: %w", err)
 		}
-		l.salvage = JournalSalvage{TailBytes: len(tail), QuarantinePath: qp}
+		l.salvage = TailSalvage{TailBytes: len(tail), QuarantinePath: qp}
 		salvageStats.events.Add(1)
 		salvageStats.quarantinedFiles.Add(1)
-		salvageStats.journalTornBytes.Add(uint64(len(tail)))
 	}
 	if _, err := f.Seek(int64(validEnd), 0); err != nil {
 		f.Close()
@@ -264,9 +262,38 @@ func OpenRepLogFS(fsys vfs.FS, path string) (*RepLog, error) {
 	return l, nil
 }
 
+// TailSalvage describes what OpenRepLogFS had to repair: a torn or
+// corrupt tail (the crash signature of an interrupted append, or bit
+// rot) that was cut off the log and quarantined for post-mortem.
+type TailSalvage struct {
+	// TailBytes is the number of bytes truncated off the log.
+	TailBytes int
+	// QuarantinePath is the *.corrupt file holding the truncated bytes
+	// ("" when nothing was salvaged).
+	QuarantinePath string
+}
+
+// quarantineBytes durably writes b to path (overwriting a previous
+// quarantine of the same artifact).
+func quarantineBytes(fsys vfs.FS, path string, b []byte) error {
+	q, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := q.Write(b); err != nil {
+		q.Close()
+		return err
+	}
+	if err := q.Sync(); err != nil {
+		q.Close()
+		return err
+	}
+	return q.Close()
+}
+
 // Salvage reports what OpenRepLogFS had to repair (zero value when the
 // log was clean).
-func (l *RepLog) Salvage() JournalSalvage { return l.salvage }
+func (l *RepLog) Salvage() TailSalvage { return l.salvage }
 
 // FirstLSN returns the earliest retained LSN (0 on an empty log).
 func (l *RepLog) FirstLSN() uint64 {
@@ -525,7 +552,6 @@ func (l *RepLog) CompactTo(keep uint64) error {
 		off += int64(len(EncodeRecord(r)))
 	}
 	l.first = keep
-	salvageStats.checkpoints.Add(1)
 	return nil
 }
 

@@ -25,167 +25,6 @@ func writeSim(t *testing.T, sim *vfs.Sim, path, content string) {
 	sim.SetDurable()
 }
 
-// TestJournalTornTailEveryTruncation opens a journal truncated at every
-// possible length of its final record. In every case the valid prefix
-// must replay, the torn bytes must be quarantined to *.corrupt, the
-// journal must be cut back to the valid prefix, and appends must keep
-// working — recovery never needs manual repair.
-func TestJournalTornTailEveryTruncation(t *testing.T) {
-	prefix := "begin b1 0000000a\napplied b1\nbegin b2 0000000b\n"
-	final := "applied b2\n"
-	for cut := 0; cut < len(final); cut++ {
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			sim := vfs.NewSim()
-			writeSim(t, sim, "journal", prefix+final[:cut])
-
-			j, err := OpenJournalFS(sim, "journal")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-
-			// The valid prefix replays in full.
-			if st, _, ok := j.State("b1"); !ok || st != Applied {
-				t.Fatalf("b1 = %v %v, want Applied", st, ok)
-			}
-			if st, _, ok := j.State("b2"); !ok || st != Begun {
-				t.Fatalf("b2 = %v %v, want Begun", st, ok)
-			}
-
-			sal := j.Salvage()
-			if cut == 0 {
-				// Nothing after the prefix: a clean journal, no salvage.
-				if sal.TailBytes != 0 {
-					t.Fatalf("clean journal reported salvage: %+v", sal)
-				}
-			} else {
-				if sal.TailBytes != cut {
-					t.Fatalf("TailBytes = %d, want %d", sal.TailBytes, cut)
-				}
-				if sal.QuarantinePath != "journal"+corruptSuffix {
-					t.Fatalf("QuarantinePath = %q", sal.QuarantinePath)
-				}
-				q, err := sim.ReadFile(sal.QuarantinePath)
-				if err != nil {
-					t.Fatalf("quarantine file: %v", err)
-				}
-				if string(q) != final[:cut] {
-					t.Fatalf("quarantined %q, want %q", q, final[:cut])
-				}
-			}
-			// The file itself is cut back to the valid prefix.
-			if on, _ := sim.ReadFile("journal"); string(on) != prefix {
-				t.Fatalf("journal content = %q, want the valid prefix", on)
-			}
-
-			// Appends continue after the prefix and survive a reopen.
-			if err := j.Begin("b3", 0xC); err != nil {
-				t.Fatal(err)
-			}
-			j.Close()
-			j2, err := OpenJournalFS(sim, "journal")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j2.Close()
-			if got := j2.Pending(); strings.Join(got, ",") != "b1,b2,b3" {
-				t.Fatalf("pending after reopen = %v", got)
-			}
-			if j2.Salvage().TailBytes != 0 {
-				t.Fatal("repaired journal reported salvage again on reopen")
-			}
-		})
-	}
-}
-
-// TestJournalTornChecksumQuarantined covers the subtler tear: the final
-// line is newline-terminated but its begin record lost the checksum
-// field, so it parses incomplete and is cut.
-func TestJournalTornChecksumQuarantined(t *testing.T) {
-	sim := vfs.NewSim()
-	writeSim(t, sim, "journal", "begin ok 00000001\nbegin torn\n")
-	j, err := OpenJournalFS(sim, "journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if _, _, ok := j.State("torn"); ok {
-		t.Fatal("checksum-less begin replayed")
-	}
-	if sal := j.Salvage(); sal.TailBytes != len("begin torn\n") {
-		t.Fatalf("TailBytes = %d", sal.TailBytes)
-	}
-}
-
-// TestJournalCheckpointCompacts pins the compaction contract directly:
-// Done entries vanish, live entries are rewritten minimally, and the
-// compacted journal keeps accepting appends.
-func TestJournalCheckpointCompacts(t *testing.T) {
-	sim := vfs.NewSim()
-	j, err := OpenJournalFS(sim, "journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One fully-done batch (kept pending by a sibling so the journal
-	// doesn't self-truncate), one applied, one begun.
-	j.Begin("done-batch", 1)
-	j.MarkApplied("done-batch")
-	j.Begin("applied-batch", 2)
-	j.MarkApplied("applied-batch")
-	j.Begin("begun-batch", 3)
-	j.MarkDone("done-batch")
-	before := j.Size()
-
-	if err := j.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Size() >= before {
-		t.Fatalf("checkpoint did not shrink the journal: %d -> %d", before, j.Size())
-	}
-	content, _ := sim.ReadFile("journal")
-	want := "begin applied-batch 00000002\napplied applied-batch\nbegin begun-batch 00000003\n"
-	if string(content) != want {
-		t.Fatalf("compacted journal = %q, want %q", content, want)
-	}
-
-	// The reopened handle appends to the compacted file.
-	if err := j.Begin("later", 4); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	j2, err := OpenJournalFS(sim, "journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if got := j2.Pending(); strings.Join(got, ",") != "applied-batch,begun-batch,later" {
-		t.Fatalf("pending after checkpoint+reopen = %v", got)
-	}
-}
-
-// TestMaybeCheckpointThreshold pins the knob: below the threshold (or
-// with the knob off) nothing runs; at the threshold it compacts.
-func TestMaybeCheckpointThreshold(t *testing.T) {
-	sim := vfs.NewSim()
-	j, err := OpenJournalFS(sim, "journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.Begin("b", 1)
-	if ran, err := j.MaybeCheckpoint(); err != nil || ran {
-		t.Fatalf("disabled checkpoint ran: %v %v", ran, err)
-	}
-	j.SetCheckpointThreshold(j.Size() + 1)
-	if ran, err := j.MaybeCheckpoint(); err != nil || ran {
-		t.Fatalf("below-threshold checkpoint ran: %v %v", ran, err)
-	}
-	j.SetCheckpointThreshold(j.Size())
-	if ran, err := j.MaybeCheckpoint(); err != nil || !ran {
-		t.Fatalf("at-threshold checkpoint skipped: %v %v", ran, err)
-	}
-}
-
 // TestSimFailAtReplacesFileFailpoints demonstrates the VFS failure
 // schedule that supersedes ad-hoc file failpoints: arm the simulated
 // filesystem to fail at each mutating op of a bundle save and check the

@@ -1,9 +1,10 @@
 // Package store provides the durability primitives of the serving
 // layer: atomic checksummed file writes (tmp + fsync + rename + parent
 // fsync), a generational state-bundle scheme with salvage-mode
-// recovery, and an append-fsync batch journal with torn-tail salvage
-// and size-bounded checkpointing, giving the spool watcher exactly-once
-// semantics across crashes.
+// recovery, and the replication log, an append-fsync framed log with
+// torn-tail salvage. The spool watcher's exactly-once record is the
+// last applied batch's name and checksum in the bundle metadata, so
+// the bundle alone settles a spool batch after a crash.
 //
 // Every file operation in this package goes through the vfs seam
 // (internal/vfs) — never the os package directly — so the
@@ -66,7 +67,8 @@ func WriteAtomicFS(fsys vfs.FS, path string, write func(w io.Writer) error) erro
 }
 
 // ChecksumBytes returns the IEEE CRC32 of b — the checksum family used
-// for both state bundles and journal batch fingerprints.
+// for both state bundles and the spool batch checksum the bundle
+// metadata records.
 func ChecksumBytes(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
 // ChecksumFile returns the IEEE CRC32 of the file's contents.

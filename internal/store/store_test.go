@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -71,114 +70,5 @@ func TestChecksums(t *testing.T) {
 	}
 	if ChecksumBytes([]byte("hello")) == ChecksumBytes([]byte("hellp")) {
 		t.Fatal("checksum collision on near-identical input")
-	}
-}
-
-func TestJournalLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Begin("b1", 0xDEAD); err != nil {
-		t.Fatal(err)
-	}
-	if st, sum, ok := j.State("b1"); !ok || st != Begun || sum != 0xDEAD {
-		t.Fatalf("state = %v %x %v", st, sum, ok)
-	}
-	if err := j.MarkApplied("b1"); err != nil {
-		t.Fatal(err)
-	}
-	if st, _, _ := j.State("b1"); st != Applied {
-		t.Fatalf("state = %v, want Applied", st)
-	}
-	if err := j.MarkDone("b1"); err != nil {
-		t.Fatal(err)
-	}
-	// All done -> truncated.
-	if fi, _ := os.Stat(path); fi.Size() != 0 {
-		t.Fatalf("journal not truncated: %d bytes", fi.Size())
-	}
-	if _, _, ok := j.State("b1"); ok {
-		t.Fatal("entry survived truncation")
-	}
-	j.Close()
-}
-
-func TestJournalReplayAfterCrash(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Begin("applied-batch", 1)
-	j.MarkApplied("applied-batch")
-	j.Begin("begun-batch", 2)
-	j.Close() // simulated crash: reopen from disk
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if st, _, _ := j2.State("applied-batch"); st != Applied {
-		t.Fatalf("applied-batch replayed as %v", st)
-	}
-	if st, sum, _ := j2.State("begun-batch"); st != Begun || sum != 2 {
-		t.Fatalf("begun-batch replayed as %v sum %d", st, sum)
-	}
-	pending := j2.Pending()
-	if len(pending) != 2 {
-		t.Fatalf("pending = %v", pending)
-	}
-}
-
-func TestJournalIgnoresTornLine(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal")
-	content := "begin ok 0000000a\napplied ok\nbegin torn" // no checksum, no newline
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if st, sum, ok := j.State("ok"); !ok || st != Applied || sum != 10 {
-		t.Fatalf("ok = %v %d %v", st, sum, ok)
-	}
-	if _, _, ok := j.State("torn"); ok {
-		t.Fatal("torn record should be dropped")
-	}
-	// The torn bytes are cut off the journal and quarantined; appends
-	// continue cleanly after the valid prefix.
-	if sal := j.Salvage(); sal.TailBytes != len("begin torn") {
-		t.Fatalf("salvage = %+v", sal)
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("torn tail not quarantined: %v", err)
-	}
-	if err := j.Begin("next", 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJournalRebeginRefreshesChecksum(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(filepath.Join(dir, "journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.Begin("b", 1)
-	j.Begin("b", 2)
-	if _, sum, _ := j.State("b"); sum != 2 {
-		t.Fatalf("sum = %d, want 2", sum)
-	}
-	if err := j.MarkApplied("nope"); err == nil || !strings.Contains(err.Error(), "no begin") {
-		t.Fatalf("MarkApplied without begin: %v", err)
 	}
 }

@@ -6,24 +6,21 @@ import (
 	"github.com/midas-graph/midas/internal/telemetry"
 )
 
-// Process-wide salvage and checkpoint counters, following the
-// accumulate-atomically / expose-via-CounterFunc idiom of internal/iso.
-// They are bumped by LoadBundle, OpenJournalFS and Journal.Checkpoint
-// regardless of which vfs.FS is underneath, so both production and the
-// crash sweep observe them.
+// Process-wide salvage counters, following the accumulate-atomically /
+// expose-via-CounterFunc idiom of internal/iso. They are bumped by
+// LoadBundle and OpenRepLogFS regardless of which vfs.FS is underneath,
+// so both production and the crash sweep observe them.
 var salvageStats struct {
 	events           atomic.Uint64
 	quarantinedFiles atomic.Uint64
 	rollForwards     atomic.Uint64
 	rollBacks        atomic.Uint64
-	journalTornBytes atomic.Uint64
-	checkpoints      atomic.Uint64
 }
 
-// Stats is a snapshot of the store's salvage and checkpoint counters.
+// Stats is a snapshot of the store's salvage counters.
 type Stats struct {
 	// SalvageEvents counts recovery actions beyond a clean load:
-	// quarantines, roll-forwards, roll-backs and journal tail repairs.
+	// quarantines, roll-forwards, roll-backs and log tail repairs.
 	SalvageEvents uint64
 	// QuarantinedFiles counts files moved or written aside as *.corrupt.
 	QuarantinedFiles uint64
@@ -31,21 +28,15 @@ type Stats struct {
 	RollForwards uint64
 	// RollBacks counts restarts that fell back to the .prev generation.
 	RollBacks uint64
-	// JournalTornBytes counts bytes truncated off torn journal tails.
-	JournalTornBytes uint64
-	// JournalCheckpoints counts journal compactions.
-	JournalCheckpoints uint64
 }
 
 // Snapshot returns the current counters.
 func Snapshot() Stats {
 	return Stats{
-		SalvageEvents:      salvageStats.events.Load(),
-		QuarantinedFiles:   salvageStats.quarantinedFiles.Load(),
-		RollForwards:       salvageStats.rollForwards.Load(),
-		RollBacks:          salvageStats.rollBacks.Load(),
-		JournalTornBytes:   salvageStats.journalTornBytes.Load(),
-		JournalCheckpoints: salvageStats.checkpoints.Load(),
+		SalvageEvents:    salvageStats.events.Load(),
+		QuarantinedFiles: salvageStats.quarantinedFiles.Load(),
+		RollForwards:     salvageStats.rollForwards.Load(),
+		RollBacks:        salvageStats.rollBacks.Load(),
 	}
 }
 
@@ -53,7 +44,7 @@ func Snapshot() Stats {
 // Registration is idempotent; a Nop registry is a no-op.
 func RegisterMetrics(reg *telemetry.Registry) {
 	reg.NewCounterFunc("store_salvage_total",
-		"Salvage actions taken by bundle/journal recovery (quarantine, roll-forward, roll-back, torn-tail repair).",
+		"Salvage actions taken by bundle and replication-log recovery (quarantine, roll-forward, roll-back, torn-tail repair).",
 		func() float64 { return float64(salvageStats.events.Load()) })
 	reg.NewCounterFunc("store_quarantined_files_total",
 		"Files moved or written aside as *.corrupt for post-mortem.",
@@ -64,10 +55,4 @@ func RegisterMetrics(reg *telemetry.Registry) {
 	reg.NewCounterFunc("store_bundle_rollback_total",
 		"Recoveries that fell back to the .prev bundle generation.",
 		func() float64 { return float64(salvageStats.rollBacks.Load()) })
-	reg.NewCounterFunc("store_journal_torn_bytes_total",
-		"Bytes truncated off torn journal tails and quarantined.",
-		func() float64 { return float64(salvageStats.journalTornBytes.Load()) })
-	reg.NewCounterFunc("store_journal_checkpoints_total",
-		"Journal checkpoint compactions.",
-		func() float64 { return float64(salvageStats.checkpoints.Load()) })
 }

@@ -3,11 +3,13 @@ package tenant
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
 	"github.com/midas-graph/midas/internal/store"
+	"github.com/midas-graph/midas/internal/telemetry"
 	"github.com/midas-graph/midas/internal/vfs"
 )
 
@@ -195,15 +198,37 @@ func TestRegistryShardFallbacks(t *testing.T) {
 	}
 }
 
-// TestRejectedHTTPBatchLeavesJournalEmpty is the regression test for a
-// journal that could never truncate itself: HTTP batches used to be
-// journalled before Maintain ran, so one the engine rejected stayed
-// begun forever and every checkpoint copied it forward. A rejected
-// POST /maintain followed by a spool batch must leave an empty journal.
-func TestRejectedHTTPBatchLeavesJournalEmpty(t *testing.T) {
+// lockedBuffer is a log sink safe to read while shard goroutines write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSpoolBatchExactlyOnceAcrossReopen pins the bundle's last-batch
+// record as the spool watcher's exactly-once record: a spool batch is
+// named in the saved bundle, the record survives a later HTTP batch's
+// save (a rejected one before it writes nothing), and a reopened
+// tenant that finds the applied file back in its spool renames it
+// without applying it again.
+func TestSpoolBatchExactlyOnceAcrossReopen(t *testing.T) {
 	root := t.TempDir()
 	seedTenantDB(t, root, "aids", 16, 3)
-	r := NewRegistry(diskOptions(root))
+	var logs lockedBuffer
+	opts := diskOptions(root)
+	opts.Logger = telemetry.NewLogger(&logs, telemetry.LevelInfo)
+	r := NewRegistry(opts)
 	sh := addTenant(t, r, "aids")
 
 	w := httptest.NewRecorder()
@@ -213,30 +238,66 @@ func TestRejectedHTTPBatchLeavesJournalEmpty(t *testing.T) {
 	}
 
 	spool := filepath.Join(root, "aids", "spool")
-	batch := graph.Marshal(dataset.BoronicEsters().Generate(2, 5000, 7))
-	if err := os.WriteFile(filepath.Join(spool, "b1.graphs"), []byte(batch), 0o644); err != nil {
+	batch := []byte(graph.Marshal(dataset.BoronicEsters().Generate(2, 5000, 7)))
+	if err := os.WriteFile(filepath.Join(spool, "b1.graphs"), batch, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
 		_, err := os.Stat(filepath.Join(spool, "b1.graphs.done"))
 		return err == nil
 	})
+	w = httptest.NewRecorder()
+	sh.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/maintain", strings.NewReader("t 0\nv 0 C\nv 1 N\ne 0 1\n")))
+	if w.Code != http.StatusOK {
+		t.Fatalf("HTTP batch = %d: %s", w.Code, w.Body.String())
+	}
+	wantLen := sh.Engine().DB().Len()
+	if wantLen != 16+2+1 {
+		t.Fatalf("DB len = %d, want %d", wantLen, 16+2+1)
+	}
+	patterns, quality := get(t, sh.Handler(), "/patterns", nil).Body.String(), get(t, sh.Handler(), "/quality", nil).Body.String()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := r.Remove(ctx, "aids"); err != nil {
 		t.Fatal(err)
 	}
 
-	j, err := store.OpenJournal(filepath.Join(root, "aids", "journal", "batch.journal"))
+	data, err := os.ReadFile(filepath.Join(root, "aids", "state", "panel.state"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if pending := j.Pending(); len(pending) != 0 {
-		t.Fatalf("journal pending = %v, want none", pending)
+	eng, meta, err := midas.LoadStateMeta(bytes.NewReader(data), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if size := j.Size(); size != 0 {
-		t.Fatalf("journal size = %d bytes, want 0", size)
+	if eng.DB().Len() != wantLen {
+		t.Fatalf("saved bundle has %d graphs, want %d (the HTTP batch's save)", eng.DB().Len(), wantLen)
+	}
+	if want := fmt.Sprintf("%08x", store.ChecksumBytes(batch)); meta[metaLastBatch] != "b1.graphs" || meta[metaLastBatchSum] != want {
+		t.Fatalf("bundle record = %q %q, want b1.graphs %s", meta[metaLastBatch], meta[metaLastBatchSum], want)
+	}
+
+	// The applied file is back in the spool, as after a crash between
+	// the bundle save and the rename.
+	if err := os.WriteFile(filepath.Join(spool, "b1.graphs"), batch, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sh = addTenant(t, r, "aids")
+	waitFor(t, func() bool {
+		_, err := os.Stat(filepath.Join(spool, "b1.graphs"))
+		return os.IsNotExist(err)
+	})
+	if got := sh.Engine().DB().Len(); got != wantLen {
+		t.Fatalf("reopened DB len = %d, want %d: the batch was applied again", got, wantLen)
+	}
+	if got := get(t, sh.Handler(), "/patterns", nil).Body.String(); got != patterns {
+		t.Fatalf("/patterns changed across the reopen:\n%s\nwant\n%s", got, patterns)
+	}
+	if got := get(t, sh.Handler(), "/quality", nil).Body.String(); got != quality {
+		t.Fatalf("/quality changed across the reopen:\n%s\nwant\n%s", got, quality)
+	}
+	if !strings.Contains(logs.String(), "recovered b1.graphs: already applied, renamed only") {
+		t.Fatalf("no rename-only recovery in the log:\n%s", logs.String())
 	}
 }
 

@@ -34,7 +34,7 @@ var (
 // shard's final settings.
 type Options struct {
 	// Root is the tenants directory. When set, each shard lives on disk
-	// in Root/<id>/{state,journal,spool} (plus an optional db.graphs to
+	// in Root/<id>/{state,spool} (plus an optional db.graphs to
 	// bootstrap from); when empty, shards live in memory.
 	Root string
 	// Engine is the default engine configuration; manifest overrides
@@ -51,9 +51,6 @@ type Options struct {
 	// Retries and Backoff set each shard's batch retry discipline.
 	Retries int
 	Backoff time.Duration
-	// Checkpoint is the per-shard journal compaction threshold in
-	// bytes (0 disables).
-	Checkpoint int64
 	// WatchInterval is the spool polling interval.
 	WatchInterval time.Duration
 	// Budget, when set, is the shared maintenance-worker budget every
@@ -106,15 +103,15 @@ func (r *Registry) shardOptions(id string, ov Overrides) Options {
 	return o
 }
 
-// paths lays a tenant out under Root/<id>, creating its state, journal
-// and spool directories; <id>/db.graphs seeds a first start when
-// present. Without Root the shard lives in memory.
+// paths lays a tenant out under Root/<id>, creating its state and
+// spool directories; <id>/db.graphs seeds a first start when present.
+// Without Root the shard lives in memory.
 func (r *Registry) paths(id string) (Paths, error) {
 	if r.opts.Root == "" {
 		return Paths{}, nil
 	}
 	dir := filepath.Join(r.opts.Root, id)
-	for _, sub := range []string{"state", "journal", "spool"} {
+	for _, sub := range []string{"state", "spool"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return Paths{}, fmt.Errorf("tenant %s: %w", id, err)
 		}
@@ -123,7 +120,6 @@ func (r *Registry) paths(id string) (Paths, error) {
 	p := Paths{
 		Restore: bundle,
 		Save:    bundle,
-		Journal: filepath.Join(dir, "journal", "batch.journal"),
 		Spool:   filepath.Join(dir, "spool"),
 	}
 	// Any stat error but absence leaves DB set, so opening it reports
@@ -304,9 +300,8 @@ func (r *Registry) Add(id string, ov Overrides) (*Shard, error) {
 }
 
 // Remove detaches a tenant and drains it: the shard disappears from
-// routing first (new requests get 404), then finishes queued work,
-// checkpoints its journal and saves its final state under ctx's
-// deadline. Other shards are untouched throughout.
+// routing first (new requests get 404), then finishes queued work and
+// saves its final state under ctx's deadline. Other shards are untouched throughout.
 func (r *Registry) Remove(ctx context.Context, id string) error {
 	r.mu.Lock()
 	sh, ok := r.shards[id]

@@ -1,6 +1,6 @@
 // Package tenant runs MIDAS serving stacks. A Shard is the one
 // single-node stack (engine, snapshot handle + maintenance pipeline,
-// panel server, save bundle, journal, spool watcher), opened from
+// panel server, save bundle, spool watcher), opened from
 // explicit paths by OpenShard; single-tenant midas-serve and every
 // replicated node run one directly. For the multi-GUI deployment the
 // paper motivates (one canned pattern set per dataset: PubChem,
@@ -35,8 +35,9 @@ import (
 	"github.com/midas-graph/midas/internal/vfs"
 )
 
-// Bundle metadata keys tying a shard's saved state to its spool
-// journal. Every layout writes the same keys, so a single-tenant state
+// Bundle metadata keys naming the last spool batch in a shard's saved
+// state: the record that keeps spool batches exactly-once across
+// crashes. Every layout writes the same keys, so a single-tenant state
 // bundle can be adopted as a tenant bundle unchanged.
 const (
 	metaLastBatch    = "lastBatch"
@@ -46,7 +47,7 @@ const (
 // Paths locates a shard's durable state. An empty path turns that
 // feature off; a shard with no paths lives in memory. Registry.Add
 // derives them from <root>/<id>/...; single-tenant midas-serve from its
-// -state/-save/-journal/-watch/-db flags.
+// -state/-save/-watch/-db flags.
 type Paths struct {
 	// Restore is the state bundle restored at open, salvaging an
 	// interrupted save.
@@ -55,12 +56,9 @@ type Paths struct {
 	// batch (before its generation publishes) and at drain, when state
 	// is left unsaved.
 	Save string
-	// Journal is the spool watcher's write-ahead journal, giving spool
-	// batches exactly-once application across crashes. It belongs to
-	// the watcher: set it only with Spool and Save.
-	Journal string
 	// Spool is the directory whose *.graphs / *.delete batch files the
-	// watcher applies.
+	// watcher applies. With Save, the bundle records the last applied
+	// file, which makes spool batches exactly-once across crashes.
 	Spool string
 	// DB is the database (text format) bootstrapped when no bundle
 	// restores.
@@ -71,8 +69,8 @@ type Paths struct {
 }
 
 // Shard is one complete single-node serving stack: engine, snapshot
-// handle and maintenance pipeline, panel server, save bundle, journal
-// and spool watcher. All fields are wired at open and immutable
+// handle and maintenance pipeline, panel server, save bundle and spool
+// watcher. All fields are wired at open and immutable
 // afterwards; lifecycle state (draining) is atomic. Tenants get theirs
 // through Registry.Add; single-tenant midas-serve and replicated nodes
 // (internal/replica) open one directly.
@@ -84,7 +82,6 @@ type Shard struct {
 	pipe     *snapshot.Pipeline
 	server   *panel.Server
 	handler  http.Handler
-	journal  *store.Journal
 	opts     midas.Options
 	degraded bool
 	logger   *telemetry.Logger
@@ -114,10 +111,10 @@ type Status struct {
 	ID         string `json:"id"`
 	State      string `json:"state"` // ok | degraded | poisoned | draining
 	Generation uint64 `json:"generation"`
-	// AppliedLSN is the shard's journal position: the count of batches
-	// the pipeline has applied (each one a journal entry). With the
-	// last-publish Generation it tells an operator how far a degraded
-	// shard is behind straight from the /readyz probe.
+	// AppliedLSN is the shard's applied-batch count, or the
+	// replication-log LSN on a replicated node. With the last-publish
+	// Generation it tells an operator how far a degraded shard is
+	// behind straight from the /readyz probe.
 	AppliedLSN       uint64  `json:"appliedLSN"`
 	DBLen            int     `json:"dbLen"`
 	Patterns         int     `json:"patterns"`
@@ -170,26 +167,6 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 	}
 	for k, v := range meta {
 		sh.lastMeta[k] = v
-	}
-	if p.Journal != "" {
-		j, err := store.OpenJournal(p.Journal)
-		if err != nil {
-			return nil, sh.wrap(err)
-		}
-		if s := j.Salvage(); s.TailBytes > 0 {
-			sh.logger.Warnf(sh.prefix("journal salvage: %d torn byte(s) quarantined to %s"), s.TailBytes, s.QuarantinePath)
-		}
-		j.SetCheckpointThreshold(o.Checkpoint)
-		sh.journal = j
-		// Compact the journal once it outgrows the threshold, after
-		// every successful maintenance.
-		eng.SetAfterMaintain(func(midas.MaintenanceReport) {
-			if ran, err := j.MaybeCheckpoint(); err != nil {
-				sh.logger.Errorf(sh.prefix("journal checkpoint: %v"), err)
-			} else if ran {
-				sh.logger.Infof(sh.prefix("journal compacted to %d bytes"), j.Size())
-			}
-		})
 	}
 
 	renderSVG := func(g *graph.Graph) string { return panel.SVG(g, 120) }
@@ -257,7 +234,6 @@ func OpenShard(id string, p Paths, o Options) (*Shard, error) {
 		w := &panel.Watcher{
 			Dir:        p.Spool,
 			Pipe:       sh.pipe,
-			Journal:    sh.journal,
 			MaxRetries: o.Retries,
 			Backoff:    o.Backoff,
 			Logf: func(format string, args ...interface{}) {
@@ -378,7 +354,7 @@ func (sh *Shard) wrap(err error) error {
 }
 
 // Save merges meta into the bundle metadata and persists the engine
-// state generationally, carrying the journal reconciliation and any
+// state generationally, carrying the last spool batch and any
 // replication position forward, timed into midas_state_save_seconds.
 // Without a save path it only merges. Every applied batch saves
 // through it; a replicated node also calls it directly, while no batch
@@ -450,12 +426,11 @@ func (sh *Shard) Draining() bool { return sh.draining.Load() }
 
 // Drain retires the shard cleanly: readiness flips off, the spool
 // watcher stops, queued maintenance finishes (bounded by ctx; past
-// the deadline the in-flight batch is cancelled and rolls back), the
-// journal is checkpointed and closed, and the state bundle is saved
-// if the engine holds state no save has written (nothing saved since
-// open, or a committed batch whose save failed), so the final
-// generation survives. Idempotent; later calls return
-// the first outcome. After Drain the shard serves nothing — the
+// the deadline the in-flight batch is cancelled and rolls back), and
+// the state bundle is saved if the engine holds state no save has
+// written (nothing saved since open, or a committed batch whose save
+// failed), so the final generation survives. Idempotent; later calls
+// return the first outcome. After Drain the shard serves nothing — the
 // Registry detaches it before draining; midas-serve stops its
 // listener first.
 func (sh *Shard) Drain(ctx context.Context) error {
@@ -466,14 +441,6 @@ func (sh *Shard) Drain(ctx context.Context) error {
 		sh.watchWG.Wait()
 		if err := sh.pipe.Stop(ctx); err != nil {
 			sh.drainErr = sh.wrap(fmt.Errorf("pipeline drain: %w", err))
-		}
-		if sh.journal != nil {
-			if err := sh.journal.Checkpoint(); err != nil && sh.drainErr == nil {
-				sh.drainErr = sh.wrap(fmt.Errorf("journal checkpoint: %w", err))
-			}
-			if err := sh.journal.Close(); err != nil && sh.drainErr == nil {
-				sh.drainErr = sh.wrap(fmt.Errorf("journal close: %w", err))
-			}
 		}
 		if sh.savePath != "" && sh.unsaved.Load() {
 			if err := sh.Save(nil); err != nil && sh.drainErr == nil {

@@ -14,6 +14,7 @@ import (
 
 	"github.com/midas-graph/midas"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/snapshot"
 	"github.com/midas-graph/midas/internal/telemetry"
 )
 
@@ -492,23 +493,23 @@ func TestRouterAdminLifecycle(t *testing.T) {
 // TestSharedBudgetSerializesMaintenance pins the isolation mechanism:
 // with a budget of exactly one worker, two tenants' batches must run
 // one at a time — the gate is actually acquired through the pipeline.
+// The Commit hook runs after each apply, inside the gate, so it sees
+// any overlap.
 func TestSharedBudgetSerializesMaintenance(t *testing.T) {
+	var inFlight, maxInFlight atomic.Int64
 	opts := memoryOptions()
 	opts.Budget = NewBudget(1)
-	r := NewRegistry(opts)
-	shA := addTenant(t, r, "aids")
-	shB := addTenant(t, r, "emol")
-
-	var inFlight, maxInFlight atomic.Int64
-	hook := func(midas.MaintenanceReport) {
+	opts.Commit = func(snapshot.Batch) (map[string]string, error) {
 		if v := inFlight.Add(1); v > maxInFlight.Load() {
 			maxInFlight.Store(v)
 		}
 		time.Sleep(5 * time.Millisecond)
 		inFlight.Add(-1)
+		return nil, nil
 	}
-	shA.Engine().SetAfterMaintain(hook)
-	shB.Engine().SetAfterMaintain(hook)
+	r := NewRegistry(opts)
+	shA := addTenant(t, r, "aids")
+	shB := addTenant(t, r, "emol")
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -528,7 +529,7 @@ func TestSharedBudgetSerializesMaintenance(t *testing.T) {
 	}
 	wg.Wait()
 	if got := maxInFlight.Load(); got != 1 {
-		t.Fatalf("max concurrent after-maintain hooks = %d, want 1 under a 1-worker budget", got)
+		t.Fatalf("max concurrent commit hooks = %d, want 1 under a 1-worker budget", got)
 	}
 }
 

@@ -306,20 +306,6 @@ func (e *Engine) SetQueryLogWeight(fn func(p *graph.Graph) float64) {
 	e.inner.SetQueryLogWeight(fn)
 }
 
-// SetAfterMaintain installs a hook that runs after every successful
-// Maintain/MaintainContext call with the call's report. The hook runs
-// on the calling goroutine while the engine is still under the caller's
-// lock, so it must not re-enter the engine; serving layers use it for
-// durability chores keyed to maintenance progress, such as compacting
-// the batch journal. Pass nil to remove.
-func (e *Engine) SetAfterMaintain(fn func(MaintenanceReport)) {
-	if fn == nil {
-		e.inner.SetAfterMaintain(nil)
-		return
-	}
-	e.inner.SetAfterMaintain(func(r core.Report) { fn(fromReport(r)) })
-}
-
 // PanelView is a coherent export of everything a serving layer needs to
 // answer panel reads: the pattern set, its per-pattern statistics, the
 // set-level quality, the database size, and a query engine over an
@@ -338,7 +324,7 @@ type PanelView struct {
 }
 
 // ExportView captures a PanelView of the engine's current state. Like
-// SetAfterMaintain, it belongs to the maintenance side of the engine:
+// Maintain, it belongs to the maintenance side of the engine:
 // call it only while no Maintain is in flight (e.g. from the
 // maintenance goroutine right after a batch commits, or at startup
 // before serving begins). The returned view is then safe for any number

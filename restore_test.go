@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/midas-graph/midas/graph"
@@ -71,6 +72,39 @@ func randomUpdate(rng *rand.Rand, d *graph.Database) graph.Update {
 	return u
 }
 
+// remapColliding renumbers u's inserts whose IDs d already holds from
+// d's allocator, as the serving pipeline does before it applies a
+// batch.
+func remapColliding(u graph.Update, d *graph.Database) graph.Update {
+	next := d.NextID()
+	for _, g := range u.Insert {
+		if d.Has(g.ID) {
+			g.ID = next
+			next++
+		}
+	}
+	return u
+}
+
+// rollBackAtEveryStage makes e fail u once at every failpoint u
+// reaches (only major batches reach candidates and swap), rolling it
+// back each time, and calls check after each rollback.
+func rollBackAtEveryStage(t *testing.T, e *Engine, u graph.Update, major bool, check func(stage string)) {
+	t.Helper()
+	for _, stage := range restoreStages {
+		if !major && (stage == "candidates" || stage == "swap") {
+			continue
+		}
+		faultinject.Enable("core.maintain." + stage)
+		_, err := e.Maintain(cloneUpdate(u))
+		faultinject.Reset()
+		if !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("stage %s: err = %v, want injected fault", stage, err)
+		}
+		check(stage)
+	}
+}
+
 // TestRestoreIsTransparent is the exact-restore oracle. Random update
 // sequences run over small databases from the dataset profiles. At
 // every batch boundary the engine is saved and restored, and the
@@ -78,7 +112,10 @@ func randomUpdate(rng *rand.Rand, d *graph.Database) graph.Update {
 // report the same facts and then save byte-identical bundles. Before
 // taking the batch, the original rolls it back once at every failpoint
 // the batch reaches, so the comparison also holds for an engine that
-// has just rolled back. Runs at Workers 0 and 2.
+// has just rolled back. The trace ends with the graph-ID allocator's
+// case: the highest ID is deleted, the engine restarts, and graphs
+// whose IDs collide are renumbered from each engine's allocator, which
+// must also survive the original's rollbacks. Runs at Workers 0 and 2.
 func TestRestoreIsTransparent(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -100,20 +137,11 @@ func TestRestoreIsTransparent(t *testing.T) {
 					if err != nil {
 						t.Fatalf("batch %d: restored engine: %v", bi, err)
 					}
-					for _, stage := range restoreStages {
-						if !rr.Major && (stage == "candidates" || stage == "swap") {
-							continue
-						}
-						faultinject.Enable("core.maintain." + stage)
-						_, err := e.Maintain(cloneUpdate(u))
-						faultinject.Reset()
-						if !errors.Is(err, faultinject.ErrInjected) {
-							t.Fatalf("batch %d stage %s: err = %v, want injected fault", bi, stage, err)
-						}
+					rollBackAtEveryStage(t, e, u, rr.Major, func(stage string) {
 						if got := saveBundle(t, e); !bytes.Equal(got, before) {
 							t.Fatalf("batch %d: rollback at %s changed the bundle", bi, stage)
 						}
-					}
+					})
 					re, err := e.Maintain(cloneUpdate(u))
 					if err != nil {
 						t.Fatalf("batch %d: %v", bi, err)
@@ -130,6 +158,40 @@ func TestRestoreIsTransparent(t *testing.T) {
 				}
 				if majors == 0 {
 					t.Fatal("the trace has no major batch; swaps went untested")
+				}
+
+				ids := e.DB().IDs()
+				if _, err := e.Maintain(graph.Update{Delete: ids[len(ids)-1:]}); err != nil {
+					t.Fatal(err)
+				}
+				next := e.DB().NextID()
+				r := restoreExact(t, saveBundle(t, e), workers)
+				ins := dataset.AIDSLike().Generate(3, 0, seed)
+				for i, g := range ins {
+					g.ID = ids[i]
+				}
+				u := graph.Update{Insert: ins}
+				rr, err := r.Maintain(remapColliding(cloneUpdate(u), r.DB()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rollBackAtEveryStage(t, e, remapColliding(cloneUpdate(u), e.DB()), rr.Major, func(stage string) {
+					if got := e.DB().NextID(); got != next {
+						t.Fatalf("rollback at %s moved the graph-ID allocator from %d to %d", stage, next, got)
+					}
+				})
+				re, err := e.Maintain(remapColliding(cloneUpdate(u), e.DB()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := factsOf(rr), factsOf(re); got != want {
+					t.Fatalf("colliding inserts after a restart: restored engine reported %+v, original %+v", got, want)
+				}
+				if got, want := r.DB().IDs(), e.DB().IDs(); !slices.Equal(got, want) {
+					t.Fatalf("colliding inserts after a restart: restored engine holds IDs %v, original %v", got, want)
+				}
+				if got, want := saveBundle(t, r), saveBundle(t, e); !bytes.Equal(got, want) {
+					t.Fatalf("colliding inserts after a restart: restored engine saved a different bundle")
 				}
 			})
 		}

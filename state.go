@@ -19,7 +19,8 @@ import (
 // across process restarts. SaveState writes the options, the database,
 // the selected pattern set and the maintained structures — the FCT
 // set, the clustering and the cluster summaries, with σ and the
-// pattern-ID allocator — to a versioned, human-readable bundle.
+// pattern- and graph-ID allocators — to a versioned, human-readable
+// bundle.
 // LoadState decodes all of it and rebuilds only what is a function of
 // that state (the indices, the graphlet counter and the metrics
 // evaluator), so a restored engine maintains exactly as the engine that
@@ -28,7 +29,7 @@ import (
 // The bundle layout (v3) is line-oriented:
 //
 //	MIDAS-STATE v3
-//	{json header: options + counts + σ + next pattern ID + payload crc32 + metadata}
+//	{json header: options + counts + σ + next pattern and graph IDs + payload crc32 + metadata}
 //	== database ==
 //	<graphs in the text format>
 //	== patterns ==
@@ -67,12 +68,17 @@ type stateHeader struct {
 	// pattern-ID allocator. v3 only: absent from v1 and v2 bundles.
 	Sigma         *float64 `json:"sigma,omitempty"`
 	NextPatternID *int     `json:"nextPatternID,omitempty"`
+	// NextGraphID carries the database's graph-ID allocator, which
+	// stays above the IDs of deleted graphs. v3 only; a v3 bundle
+	// without it restores the allocator as the highest live ID + 1.
+	NextGraphID *int `json:"nextGraphID,omitempty"`
 	// CRC is the hex IEEE CRC32 of the payload (all bytes after the
 	// header line). Absent in v1 bundles.
 	CRC string `json:"crc32,omitempty"`
-	// Meta carries server bookkeeping (e.g. the last applied spool
-	// batch), closing the crash window between saving state and
-	// journalling the batch as applied.
+	// Meta carries server bookkeeping: the last applied spool batch
+	// and its checksum, which settles a spool file after a crash
+	// between saving state and renaming the file, and a replicated
+	// node's log position.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
@@ -127,8 +133,8 @@ func writeState(w io.Writer, e *Engine, meta map[string]string, maintained bool)
 	magic := stateMagicV2
 	if maintained {
 		magic = stateMagic
-		sigma, next := e.inner.Sigma(), e.inner.NextPatternID()
-		hdr.Sigma, hdr.NextPatternID = &sigma, &next
+		sigma, next, nextGraph := e.inner.Sigma(), e.inner.NextPatternID(), e.DB().NextID()
+		hdr.Sigma, hdr.NextPatternID, hdr.NextGraphID = &sigma, &next, &nextGraph
 		section("trees")
 		if err := e.inner.TreeSet().Encode(&payload); err != nil {
 			return err
@@ -180,8 +186,8 @@ type stateBundle struct {
 // parseStateEnvelope checks the bundle envelope — magic line, JSON
 // header, payload checksum for v2 and v3, section markers — and returns
 // the header plus the payload sections. Corruption errors wrap
-// store.ErrCorrupt so recovery (store.LoadBundle / store.Recover) can
-// distinguish damaged bytes from I/O failures.
+// store.ErrCorrupt so recovery (store.LoadBundle) can distinguish
+// damaged bytes from I/O failures.
 func parseStateEnvelope(r io.Reader) (b stateBundle, err error) {
 	br := bufio.NewReader(r)
 	magic, err := br.ReadString('\n')
@@ -311,6 +317,10 @@ func LoadStateMeta(r io.Reader, workers int) (*Engine, map[string]string, error)
 	if hdr.Sigma == nil || hdr.NextPatternID == nil {
 		return nil, nil, fmt.Errorf("midas: state bundle corrupt: v3 header missing sigma or nextPatternID: %w",
 			store.ErrCorrupt)
+	}
+	if next := hdr.NextGraphID; next != nil && !db.SetNextID(*next) {
+		return nil, nil, fmt.Errorf("midas: state bundle corrupt: nextGraphID %d is not above every graph ID: %w",
+			*next, store.ErrCorrupt)
 	}
 	inner, err := core.RestoreEngine(db, opts.toCore(), patterns, core.Maintained{
 		Trees:         b.sections[2],

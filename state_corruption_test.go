@@ -2,6 +2,8 @@ package midas
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/store"
 )
 
 func corruptionFixture(t *testing.T) (*Engine, string) {
@@ -140,6 +143,60 @@ func TestLoadStateUpgradesV2(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), v3.Bytes()) {
 		t.Fatal("the upgraded v3 bundle did not round-trip")
+	}
+}
+
+// TestLoadStateGraphAllocator pins the v3 header's nextGraphID: it
+// restores an allocator above a deleted highest ID, a value at or below
+// the highest live ID is rejected as corrupt, and a v3 bundle without
+// the field (as older binaries wrote it) restores highest + 1.
+func TestLoadStateGraphAllocator(t *testing.T) {
+	e, _ := corruptionFixture(t)
+	ids := e.DB().IDs()
+	if _, err := e.Maintain(graph.Update{Delete: ids[len(ids)-1:]}); err != nil {
+		t.Fatal(err)
+	}
+	highest, next := ids[len(ids)-2], ids[len(ids)-1]+1
+	var buf strings.Builder
+	if err := SaveState(&buf, e); err != nil {
+		t.Fatal(err)
+	}
+	// withHeader rewrites the header line, which the payload checksum
+	// does not cover.
+	withHeader := func(edit func(h map[string]any)) string {
+		lines := strings.SplitN(buf.String(), "\n", 3)
+		var h map[string]any
+		if err := json.Unmarshal([]byte(lines[1]), &h); err != nil {
+			t.Fatal(err)
+		}
+		edit(h)
+		enc, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lines[0] + "\n" + string(enc) + "\n" + lines[2]
+	}
+	for _, tc := range []struct {
+		name   string
+		bundle string
+		want   int
+	}{
+		{"saved", buf.String(), next},
+		{"without the field", withHeader(func(h map[string]any) { delete(h, "nextGraphID") }), highest + 1},
+	} {
+		r, err := LoadState(strings.NewReader(tc.bundle), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := r.DB().NextID(); got != tc.want {
+			t.Fatalf("%s: restored NextID = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	for _, bad := range []int{highest, -1} {
+		_, err := LoadState(strings.NewReader(withHeader(func(h map[string]any) { h["nextGraphID"] = bad })), 0)
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("nextGraphID %d (highest live ID %d): err = %v, want store.ErrCorrupt", bad, highest, err)
+		}
 	}
 }
 
