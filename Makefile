@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential bench-compare tenants-smoke replica-smoke serve-smoke clean
+.PHONY: all build test vet fmt lint race crashtest bench bench-smoke figures fuzz differential tenants-smoke replica-smoke serve-smoke clean
 
 all: build test
 
@@ -72,11 +72,6 @@ differential:
 	$(GO) test -run 'MCCSMatchesReference|FuzzMCCS' ./internal/iso
 	$(GO) test -run 'ExactMatchesReference|ExactWithMappingMatchesReference|BeamMatchesReference|FuzzExactGED' ./internal/ged
 	$(GO) test -race -count=2 ./internal/cluster ./internal/iso ./internal/ged ./internal/parallel ./internal/index/...
-
-# Sequential vs -workers benchmark comparison (writes BENCH_PR5.json).
-bench-compare:
-	$(GO) run ./cmd/midas-bench -compare-workers 4 > BENCH_PR5.json
-	@cat BENCH_PR5.json
 
 # The CI gate for the tenant subsystem: boot 3 tenants behind one
 # router, maintain one, query all, assert isolation headers and that

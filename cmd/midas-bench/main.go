@@ -39,27 +39,6 @@ type jsonFigure struct {
 	Rows   [][]string `json:"rows"`
 }
 
-// emitComparisonJSON writes a comparison-mode result to stdout, or to
-// jsonPath when set (and not "-").
-func emitComparisonJSON(res interface{}, jsonPath string) {
-	out := os.Stdout
-	if jsonPath != "" && jsonPath != "-" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
-		os.Exit(1)
-	}
-}
-
 func main() {
 	var (
 		figs     = flag.String("fig", "all", "comma-separated figures to run: 9,10,11,12,13,14,15,16,ex1,supmin,gamma,discover,robust or all")
@@ -67,8 +46,6 @@ func main() {
 		seed     = flag.Int64("seed", 0, "override the scale preset's random seed (0 = preset)")
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonPath = flag.String("json", "", `write machine-readable results (tables + per-batch maintenance trace) to this file ("-" = stdout)`)
-		cmpWork  = flag.Int("compare-workers", 0, "instead of figures, replay the maintenance trace sequentially and at this worker count, verify the outputs are identical, and print the timing comparison as JSON")
-		cmpRound = flag.Int("compare-rounds", 3, "trace replays per mode in -compare-workers (restart-and-replay is the memo layer's workload)")
 	)
 	flag.Parse()
 
@@ -87,20 +64,6 @@ func main() {
 
 	if *seed != 0 {
 		s.Seed = *seed
-	}
-
-	// Comparison mode: sequential reference vs pooled/memoised kernels
-	// over the same trace, facts cross-checked before timing is
-	// reported. JSON goes to stdout (or the -json path when set).
-	if *cmpWork > 0 {
-		res, err := experiments.CompareWorkers(s, *cmpWork, *cmpRound)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "midas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		res.Scale = *scale
-		emitComparisonJSON(res, *jsonPath)
-		return
 	}
 
 	want := map[string]bool{}

@@ -64,13 +64,6 @@ type Metrics struct {
 	SampleSize int
 	Seed       int64
 
-	// Memo, when true, routes pairwise GED computations through the
-	// process-wide memo cache in internal/ged instead of the per-Metrics
-	// distCache, so distances survive engine rebuilds. Both caches are
-	// keyed by exact graph instances, so the computed values — and hence
-	// every score — are identical in either mode.
-	Memo bool
-
 	// mu guards the caches and the lazy sample so scoring can fan out
 	// across goroutines (scores are pure, so concurrency cannot change
 	// results — only which values end up memoised).
@@ -259,15 +252,12 @@ func SetCog(ps []*graph.Graph) float64 {
 	return best
 }
 
-// distLookup consults the per-Metrics distance cache. Memo mode must
-// NOT look up the process-wide ged memo here: that cache outlives this
-// engine, and a warm hit would bypass the lb-prune in Div for a pair
-// this engine's own history never computed — the prune is part of the
-// algorithm (GED'_l is a heuristic bound that can exceed even the exact
-// distance), so the reference path and the memoised path must skip
-// exactly the same pairs.
-func (m *Metrics) distLookup(p, o *graph.Graph) (float64, bool) {
-	key := parallel.PairKey(p, o)
+// distLookup reads the per-Metrics distance cache. A hit skips the
+// GED'ₗ prune in Div, and GED'ₗ is not a lower bound, so until Div
+// prunes with a sound bound, which pairs the cache holds is part of
+// Div's result. The cache is per engine: a restart or a rollback starts
+// it empty.
+func (m *Metrics) distLookup(key string) (float64, bool) {
 	m.mu.Lock()
 	d, ok := m.distCache[key]
 	m.mu.Unlock()
@@ -291,11 +281,9 @@ func (m *Metrics) Div(p *graph.Graph, others []*graph.Graph) float64 {
 		// bipartite upper bound used for larger pairs is neither
 		// symmetric nor isomorphism-invariant, so directional
 		// instance-exact keys are the only reuse that provably preserves
-		// the sequential values.) The lookup/prune/compute order below
-		// is the algorithm's definition and is identical in both modes;
-		// Memo mode only swaps the compute step for the process-wide ged
-		// memo, which returns exactly what DistanceCancel would.
-		d, ok := m.distLookup(p, o)
+		// the computed values.)
+		key := parallel.PairKey(p, o)
+		d, ok := m.distLookup(key)
 		if !ok {
 			if m.Ix != nil && best >= 0 {
 				// Tighter lower bound GED'_l prunes exact computations:
@@ -306,13 +294,8 @@ func (m *Metrics) Div(p *graph.Graph, others []*graph.Graph) float64 {
 					continue
 				}
 			}
-			if m.Memo {
-				d = ged.DistanceCached(p, o, cancel)
-			} else {
-				d = ged.DistanceCancel(p, o, cancel)
-			}
+			d = ged.DistanceCancel(p, o, cancel)
 			if cancel == nil || !cancel() {
-				key := parallel.PairKey(p, o)
 				m.mu.Lock()
 				m.distCache[key] = d
 				m.mu.Unlock()

@@ -42,7 +42,8 @@ func diffTrace(seed int64) []graph.Update {
 }
 
 // runTrace bootstraps a fresh engine with the given seed and worker
-// count, replays the trace, and captures the outcome.
+// count, replays the trace with the engine invariants checked after
+// bootstrap and every batch, and captures the outcome.
 func runTrace(t *testing.T, seed int64, workers int) diffOutcome {
 	t.Helper()
 	cfg := testConfig()
@@ -50,12 +51,14 @@ func runTrace(t *testing.T, seed int64, workers int) diffOutcome {
 	cfg.Epsilon = 0.01
 	cfg.Workers = workers
 	e := NewEngine(testDB(8, 8), cfg)
+	checkInvariants(t, e, 0)
 	var out diffOutcome
 	for bi, u := range diffTrace(seed) {
 		rep, err := e.Maintain(u)
 		if err != nil {
 			t.Fatalf("seed %d workers %d batch %d: %v", seed, workers, bi, err)
 		}
+		checkInvariants(t, e, bi+1)
 		out.Fingerprints = append(out.Fingerprints, takeFingerprint(e))
 		out.Distances = append(out.Distances, rep.GraphletDistance)
 		out.Major = append(out.Major, rep.Major)

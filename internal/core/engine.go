@@ -57,20 +57,17 @@ type Config struct {
 	// Walks and StartEdges configure candidate generation.
 	Walks      int
 	StartEdges int
-	// Parallel fans candidate scoring out over this many goroutines
-	// (default 1; results are identical at any setting). Superseded by
-	// Workers when that is set.
-	Parallel int
 	// Workers selects the execution mode of every parallelised
 	// maintenance kernel (fine-clustering ω_MCCS columns, batch feature
 	// vectors, cover-set fan-outs, candidate and swap scoring): 0 is the
 	// sequential reference path with no process-wide memoization; >= 1
 	// routes fan-outs through the internal/parallel pool (1 degenerates
-	// to an inline loop) and enables the instance-keyed MCCS/GED/VF2
-	// memo caches. The strict invariant — enforced by the differential
-	// test suite — is that Maintain and Query produce byte-identical
-	// state bundles and reports at every Workers setting; only
-	// wall-clock time may differ.
+	// to an inline loop) and enables the instance-keyed MCCS and VF2
+	// embedding memos of internal/iso. GED distances are cached per
+	// engine in every mode. The strict invariant — enforced by the
+	// differential test suite — is that Maintain and Query produce
+	// byte-identical state bundles and reports at every Workers setting;
+	// only wall-clock time may differ.
 	Workers int
 	// SampleSize enables lazy-sampled scov (0 = exact).
 	SampleSize int
@@ -266,7 +263,6 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 	e.counter = graphlet.NewCounter(db)
 	clock.lap("graphlet")
 	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
-	e.metrics.Memo = cfg.Workers >= 1
 	clock.lap("metrics")
 	e.bootstrap, e.BootstrapTime = clock.stages, clock.total()
 	return e
@@ -330,7 +326,6 @@ func RestoreEngine(db *graph.Database, cfg Config, patterns []*graph.Graph, m Ma
 	e.counter = graphlet.NewCounter(db)
 	clock.lap("graphlet")
 	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
-	e.metrics.Memo = cfg.Workers >= 1
 	clock.lap("metrics")
 	e.bootstrap, e.BootstrapTime = clock.stages, clock.total()
 	return e, nil
@@ -356,7 +351,6 @@ func newEngine(db *graph.Database, cfg Config) *Engine {
 	e.counter = graphlet.NewCounter(db)
 	clock.lap("graphlet")
 	e.metrics = catapult.NewMetrics(db, e.set, e.ix, cfg.SampleSize, cfg.Seed)
-	e.metrics.Memo = cfg.Workers >= 1
 	clock.lap("metrics")
 	sel := catapult.NewSelector(e.metrics, e.cl, e.csgs, e.selectConfig(nil))
 	e.patterns = sel.Select(0)
@@ -406,17 +400,13 @@ func (e *Engine) buildClustering(rng *rand.Rand) *cluster.Clustering {
 }
 
 func (e *Engine) selectConfig(pruner catapult.Pruner) catapult.SelectConfig {
-	par := e.cfg.Parallel
-	if e.cfg.Workers > 0 {
-		par = e.cfg.Workers
-	}
 	return catapult.SelectConfig{
 		Budget:     e.selectBudget(),
 		Walks:      e.cfg.Walks,
 		StartEdges: e.cfg.StartEdges,
 		Seed:       e.cfg.Seed,
 		Pruner:     pruner,
-		Parallel:   par,
+		Parallel:   e.cfg.Workers,
 		Cancel:     e.cancel,
 	}
 }

@@ -56,8 +56,9 @@ func checkIndexOracle(t *testing.T, e *Engine, tag string) {
 }
 
 // runOracleTrace replays the differential trace at the given seed and
-// worker count, checking the index oracle after bootstrap and after
-// every batch, and returns the outcome for cross-worker comparison.
+// worker count, checking the index oracle and the engine invariants
+// after bootstrap and after every batch, and returns the outcome for
+// cross-worker comparison.
 func runOracleTrace(t *testing.T, seed int64, workers int) diffOutcome {
 	t.Helper()
 	cfg := testConfig()
@@ -66,6 +67,7 @@ func runOracleTrace(t *testing.T, seed int64, workers int) diffOutcome {
 	cfg.Workers = workers
 	e := NewEngine(testDB(8, 8), cfg)
 	checkIndexOracle(t, e, fmt.Sprintf("seed %d workers %d bootstrap", seed, workers))
+	checkInvariants(t, e, 0)
 	var out diffOutcome
 	for bi, u := range diffTrace(seed) {
 		rep, err := e.Maintain(u)
@@ -73,6 +75,7 @@ func runOracleTrace(t *testing.T, seed int64, workers int) diffOutcome {
 			t.Fatalf("seed %d workers %d batch %d: %v", seed, workers, bi, err)
 		}
 		checkIndexOracle(t, e, fmt.Sprintf("seed %d workers %d batch %d", seed, workers, bi))
+		checkInvariants(t, e, bi+1)
 		out.Fingerprints = append(out.Fingerprints, takeFingerprint(e))
 		out.Distances = append(out.Distances, rep.GraphletDistance)
 		out.Major = append(out.Major, rep.Major)

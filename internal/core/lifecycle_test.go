@@ -6,6 +6,7 @@ import (
 
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/graphlet"
 )
 
 // TestLifecycleInvariants drives an engine through many mixed
@@ -110,14 +111,24 @@ func checkInvariants(t *testing.T, e *Engine, round int) {
 		}
 	}
 
-	// 5. Pattern set respects the budget and contains no duplicates.
-	if len(e.patterns) > e.cfg.Budget.Count {
+	// 5. The pattern set is a canned pattern set of Definition 3.1: at
+	// most γ connected patterns with η_min ≤ |E| ≤ η_max, at most the
+	// per-size cap of each size, and no duplicate structures.
+	b := e.cfg.Budget
+	if len(e.patterns) > b.Count {
 		t.Fatalf("round %d: %d patterns > γ", round, len(e.patterns))
 	}
 	sigs := map[string]bool{}
+	perSize := map[int]int{}
 	for _, p := range e.patterns {
-		if p.Size() > e.cfg.Budget.MaxSize {
-			t.Fatalf("round %d: pattern size %d > η_max", round, p.Size())
+		if p.Size() > b.MaxSize || p.Size() < b.MinSize {
+			t.Fatalf("round %d: pattern size %d outside [η_min %d, η_max %d]", round, p.Size(), b.MinSize, b.MaxSize)
+		}
+		if !p.IsConnected() {
+			t.Fatalf("round %d: pattern %d is disconnected", round, p.ID)
+		}
+		if perSize[p.Size()]++; perSize[p.Size()] > b.PerSizeCap() {
+			t.Fatalf("round %d: %d patterns of size %d > per-size cap %d", round, perSize[p.Size()], p.Size(), b.PerSizeCap())
 		}
 		s := graph.Signature(p)
 		if sigs[s] {
@@ -126,10 +137,8 @@ func checkInvariants(t *testing.T, e *Engine, round int) {
 		sigs[s] = true
 	}
 
-	// 6. Graphlet cache agrees with a fresh count.
-	fresh := 0
-	for range db.Graphs() {
-		fresh++
+	// 6. The maintained graphlet counts agree with a fresh census.
+	if got, fresh := e.counter.Total(), graphlet.NewCounter(db).Total(); got != fresh {
+		t.Fatalf("round %d: graphlet totals %v, fresh %v", round, got, fresh)
 	}
-	_ = fresh // db length checked above; counter totals verified in graphlet tests
 }

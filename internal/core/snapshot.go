@@ -54,9 +54,11 @@ func (e *Engine) takeSnapshot() *snapshot {
 }
 
 // restore rolls the engine back to a snapshot. The metrics evaluator is
-// rebuilt over the restored structures: its caches restart empty, which
-// only costs recomputation — all metric values are deterministic
-// functions of the restored state.
+// rebuilt over the restored structures, so its caches restart empty.
+// For the cover cache that only costs recomputation; the distance
+// cache's contents are part of Div's result while Div prunes with
+// GED'ₗ (see catapult.Metrics.distLookup), so after a rollback Div may
+// prune pairs that an engine which never failed would read from cache.
 func (e *Engine) restore(s *snapshot) {
 	e.db = s.db
 	e.set = s.set
@@ -68,5 +70,4 @@ func (e *Engine) restore(s *snapshot) {
 	e.nextPatternID = s.nextPatternID
 	e.sigma = s.sigma
 	e.metrics = catapult.NewMetrics(e.db, e.set, e.ix, e.cfg.SampleSize, e.cfg.Seed)
-	e.metrics.Memo = e.cfg.Workers >= 1
 }

@@ -41,10 +41,6 @@ type Scale struct {
 	ClusterMaxSize int
 	// Seed drives everything.
 	Seed int64
-	// Workers selects the maintenance kernels' execution mode (0 =
-	// sequential reference path). Every figure is identical at every
-	// setting; only wall clock moves.
-	Workers int
 }
 
 // Tiny is for unit tests.
@@ -87,7 +83,6 @@ func (s Scale) config() core.Config {
 		Walks:      s.Walks,
 		SampleSize: s.SampleSize,
 		Seed:       s.Seed,
-		Workers:    s.Workers,
 		Cluster:    cluster.Config{MaxSize: s.ClusterMaxSize},
 	}
 }

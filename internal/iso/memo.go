@@ -16,11 +16,13 @@ import (
 // sequential reference path and the parallel path emit byte-identical
 // outputs whether a value was computed or replayed.
 //
-// The caches outlive individual engines on purpose: rebuilding an
-// engine over the same data (benchmark traces, serving restarts inside
-// one process) replays the same MCCS alignments and similarity
-// computations, and on a machine without spare cores the memoised
-// replay is where the -workers speedup comes from.
+// The caches pay inside one long-lived engine: re-splitting a cluster
+// re-scores the same pivot pairs (fine clustering's ω_MCCS), and
+// rebuilding a summary re-aligns the same members against the same
+// intermediate summaries (CSG integration). On the repository
+// benchmark's drift stream a quarter of these lookups hit, and
+// bypassing the memos made the stream 1.36× slower (EXPERIMENTS.md,
+// "Kernel memos on the benchmark workloads").
 //
 // Results computed while a cancellation hook had already fired are
 // never cached: a cancelled search stops at an arbitrary point, so its
@@ -30,12 +32,6 @@ var (
 	mccsMemo  = parallel.NewCache[MCCSResult]("iso_mccs", 1<<15)
 	embedMemo = parallel.NewCache[[]int]("iso_embed", 1<<15)
 )
-
-// ResetMemo drops the package's memo caches (cold-cache benchmarking).
-func ResetMemo() {
-	mccsMemo.Reset()
-	embedMemo.Reset()
-}
 
 // MCCSCached is MCCSWithCancel with process-wide memoization. The
 // returned result shares slices with the cache; callers must not

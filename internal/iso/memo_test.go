@@ -7,6 +7,12 @@ import (
 	"github.com/midas-graph/midas/graph"
 )
 
+// resetMemo drops the package's memo caches so a test starts cold.
+func resetMemo() {
+	mccsMemo.Reset()
+	embedMemo.Reset()
+}
+
 func memoPairs() [][2]*graph.Graph {
 	gs := []*graph.Graph{
 		graph.Path(0, "C", "O", "C"),
@@ -28,7 +34,7 @@ func memoPairs() [][2]*graph.Graph {
 // every pair, the cached kernel returns exactly what the plain kernel
 // computes — on the cold miss, and again on the warm hit.
 func TestMCCSCachedMatchesUncached(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	for _, budget := range []int{50, 5000} {
 		for _, pr := range memoPairs() {
 			want := MCCSWithCancel(pr[0], pr[1], budget, nil)
@@ -50,7 +56,7 @@ func TestMCCSCachedMatchesUncached(t *testing.T) {
 // served for a high-budget request (the budget caps the search, so the
 // results differ legitimately).
 func TestMCCSCachedBudgetInKey(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	a := graph.Path(0, "C", "O", "C", "O", "C")
 	b := graph.Path(1, "C", "O", "C", "N", "C")
 	low := MCCSCached(a, b, 1, nil)
@@ -64,7 +70,7 @@ func TestMCCSCachedBudgetInKey(t *testing.T) {
 // TestMCCSCachedNoCacheAfterCancel: a result computed under a fired
 // cancel hook is partial and must not be memoised.
 func TestMCCSCachedNoCacheAfterCancel(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	a := graph.Path(0, "C", "O", "C", "O", "C")
 	b := graph.Path(1, "C", "O", "C", "O", "C")
 	fired := false
@@ -82,7 +88,7 @@ func TestMCCSCachedNoCacheAfterCancel(t *testing.T) {
 // TestFindEmbeddingCachedMatches checks the VF2 memo, including the
 // negative (nil) result, against the plain kernel.
 func TestFindEmbeddingCachedMatches(t *testing.T) {
-	ResetMemo()
+	resetMemo()
 	pat := graph.Path(0, "C", "O")
 	host := graph.Path(1, "C", "O", "C")
 	miss := graph.Path(2, "N", "S")

@@ -161,7 +161,9 @@ type lockRegion struct {
 
 // lockRegions finds Lock/RLock calls on sync mutexes and pairs each
 // with its Unlock: an explicit Unlock bounds the region; `defer
-// Unlock()` extends it to the end of the function.
+// Unlock()` extends it to the end of the function. Lock events inside
+// a nested function literal belong to that literal, which is its own
+// funcBody, so they never open a region in the enclosing function.
 func lockRegions(pass *Pass, fb funcBody) []lockRegion {
 	type ev struct {
 		pos      token.Pos
@@ -172,6 +174,9 @@ func lockRegions(pass *Pass, fb funcBody) []lockRegion {
 	var evs []ev
 	deferredCalls := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fb.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
 		if d, ok := n.(*ast.DeferStmt); ok {
 			deferredCalls[d.Call] = true
 			return true

@@ -71,3 +71,26 @@ func (s *server) goroutineOK() {
 	go func() { time.Sleep(time.Millisecond) }()
 	s.n++
 }
+
+// closureLocked holds the lock only inside the closure: the region
+// ends with the literal, so the sleep after the call is not under it.
+func (s *server) closureLocked() {
+	inc := func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.n++
+	}
+	inc()
+	time.Sleep(time.Millisecond)
+}
+
+// closureSleepHeld sleeps inside the closure's own region, reported
+// once, for the literal.
+func (s *server) closureSleepHeld() {
+	wait := func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		time.Sleep(time.Millisecond) // want "time.Sleep called while s.mu is held in func literal"
+	}
+	wait()
+}

@@ -24,7 +24,6 @@
 package parallel
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -128,14 +127,4 @@ func Map[T any](workers, n int, cancel func() bool, fn func(i int) T) []T {
 	out := make([]T, n)
 	Do(workers, n, cancel, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// DoContext is Do with a context instead of a hook: ctx cancellation
-// (which is monotonic by construction) skips undispatched tasks.
-func DoContext(ctx context.Context, workers, n int, run func(i int)) {
-	var cancel func() bool
-	if ctx != nil && ctx.Done() != nil {
-		cancel = func() bool { return ctx.Err() != nil }
-	}
-	Do(workers, n, cancel, run)
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -92,21 +91,6 @@ func TestDoPanicLowestIndexWins(t *testing.T) {
 			panic(fmt.Sprintf("task-%d", i))
 		}
 	})
-}
-
-func TestDoContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	DoContext(ctx, 4, 50, func(int) { ran = true })
-	if ran {
-		t.Fatal("task ran under a cancelled context")
-	}
-	sum := 0
-	DoContext(context.Background(), 1, 5, func(i int) { sum += i })
-	if sum != 10 {
-		t.Fatalf("sum = %d, want 10", sum)
-	}
 }
 
 func TestCacheBasics(t *testing.T) {

@@ -77,7 +77,7 @@ func RegisterMetrics(reg *telemetry.Registry) {
 		"Submitted fan-out tasks not yet dispatched to a worker.",
 		func() float64 { return float64(poolStats.queued.Load()) })
 	reg.NewCounterFunc("midas_parallel_cache_hits_total",
-		"Kernel memo-cache hits (pairwise MCCS/GED/embedding results reused).",
+		"Kernel memo-cache hits (pairwise MCCS and VF2 embedding results reused).",
 		func() float64 { return float64(cacheStats.hits.Load()) })
 	reg.NewCounterFunc("midas_parallel_cache_misses_total",
 		"Kernel memo-cache misses.",

@@ -90,8 +90,9 @@ type Options struct {
 	// Workers selects the execution mode of the maintenance kernels:
 	// 0 runs the sequential reference path; n >= 1 fans the pairwise
 	// MCCS/GED computations, batch classification and swap scoring out
-	// over n pooled workers and enables process-wide kernel
-	// memoization. Maintain and Query produce byte-identical state and
+	// over n pooled workers and enables the process-wide MCCS and VF2
+	// embedding memos (GED distances are cached per engine at every
+	// setting). Maintain and Query produce byte-identical state and
 	// reports at every setting — the differential test suite enforces
 	// it — so Workers is purely a wall-clock knob. State bundles record
 	// it as 0; LoadState takes the width to restore at.
