@@ -61,14 +61,15 @@ fuzz:
 	$(GO) test ./internal/ged -fuzz FuzzExactGED -fuzztime 30s
 	$(GO) test . -run FuzzLoadState -fuzz FuzzLoadState -fuzztime 30s -fuzzminimizetime 2s
 
-# The sequential/parallel differential suite, the index oracle suite and
-# the exact-restore oracle at a pinned GOMAXPROCS, the MCCS kernel
+# The sequential/parallel differential suite, the index oracle suite,
+# the exact-restore oracle and the check that Div's distance cache never
+# changes a result, at a pinned GOMAXPROCS, the MCCS kernel
 # against its map-based reference search, the exact GED search
 # (distance, edit path and beam) against its string-based reference,
 # plus the race detector over every parallelized package (the CI gate
 # for the determinism contract).
 differential:
-	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|QueryIdentical|MidFanOut|AsyncCancel|UnderMaintenance|FuzzIndexMaintenance|RestoreIsTransparent' . ./internal/core ./internal/cluster ./internal/index
+	GOMAXPROCS=2 $(GO) test -run 'Differential|ByteIdentical|MidFanOut|AsyncCancel|UnderMaintenance|FuzzIndexMaintenance|RestoreIsTransparent|DivIndependentOfCache' . ./internal/core ./internal/cluster ./internal/index ./internal/catapult
 	$(GO) test -run 'MCCSMatchesReference|FuzzMCCS' ./internal/iso
 	$(GO) test -run 'ExactMatchesReference|ExactWithMappingMatchesReference|BeamMatchesReference|FuzzExactGED' ./internal/ged
 	$(GO) test -race -count=2 ./internal/cluster ./internal/iso ./internal/ged ./internal/parallel ./internal/index/...

@@ -2,12 +2,10 @@ package midas
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
-	"github.com/midas-graph/midas/internal/search"
 )
 
 // reportFacts are the report fields the Workers knob must not change
@@ -74,28 +72,6 @@ func TestStateBundleByteIdenticalAcrossWorkers(t *testing.T) {
 					t.Errorf("seed %d: workers=%d batch %d report %+v, want %+v", seed, w, i, facts[i], wantFacts[i])
 				}
 			}
-		}
-	}
-}
-
-// TestQueryIdenticalAcrossWorkers: the query funnel must return the
-// same matches, embeddings and funnel statistics in the same order
-// whether verification runs inline or fanned out.
-func TestQueryIdenticalAcrossWorkers(t *testing.T) {
-	db := dataset.PubChemLike().GenerateDB(30, 7)
-	s := search.NewFromDB(db, 0.3, 3)
-	q := graph.Path(0, "C", "O", "C")
-	want, wantStats := s.Query(q, search.Options{})
-	if len(want) == 0 {
-		t.Fatal("probe query matched nothing; fixture too weak")
-	}
-	for _, w := range []int{1, 2, 8} {
-		got, stats := s.Query(q, search.Options{Workers: w})
-		if stats != wantStats {
-			t.Fatalf("workers %d: stats %+v, want %+v", w, stats, wantStats)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers %d: results diverged\ngot  %+v\nwant %+v", w, got, want)
 		}
 	}
 }

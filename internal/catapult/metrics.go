@@ -252,11 +252,11 @@ func SetCog(ps []*graph.Graph) float64 {
 	return best
 }
 
-// distLookup reads the per-Metrics distance cache. A hit skips the
-// GED'ₗ prune in Div, and GED'ₗ is not a lower bound, so until Div
-// prunes with a sound bound, which pairs the cache holds is part of
-// Div's result. The cache is per engine: a restart or a rollback starts
-// it empty.
+// distLookup reads the per-Metrics distance cache. The cache only saves
+// recomputation: Div consults the GED'ₗ prune for every pair that could
+// lower its running minimum, cached or not, so which pairs the cache
+// holds never changes a result. The cache is per engine: a restart or a
+// rollback starts it empty.
 func (m *Metrics) distLookup(key string) (float64, bool) {
 	m.mu.Lock()
 	d, ok := m.distCache[key]
@@ -284,16 +284,16 @@ func (m *Metrics) Div(p *graph.Graph, others []*graph.Graph) float64 {
 		// the computed values.)
 		key := parallel.PairKey(p, o)
 		d, ok := m.distLookup(key)
+		// The tighter bound GED'_l skips a pair whose bound reaches the
+		// current minimum. It is consulted for every pair that could
+		// lower the minimum — uncached, or cached below it — so the
+		// minimum is the one a cold cache computes. A cached distance at
+		// or above the minimum cannot lower it and needs no bound. With
+		// no minimum yet there is nothing to prune against.
+		if m.Ix != nil && best >= 0 && (!ok || d < best) && m.Ix.TighterGED(p, o) >= best {
+			continue
+		}
 		if !ok {
-			if m.Ix != nil && best >= 0 {
-				// Tighter lower bound GED'_l prunes exact computations:
-				// if even the bound exceeds the current minimum, skip
-				// without caching (the bound is pair-specific). With no
-				// minimum yet there is nothing to prune against.
-				if m.Ix.TighterGED(p, o) >= best {
-					continue
-				}
-			}
 			d = ged.DistanceCancel(p, o, cancel)
 			if cancel == nil || !cancel() {
 				m.mu.Lock()

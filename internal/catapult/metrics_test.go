@@ -2,9 +2,11 @@ package catapult
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/midas-graph/midas/graph"
+	"github.com/midas-graph/midas/internal/dataset"
 	"github.com/midas-graph/midas/internal/index"
 	"github.com/midas-graph/midas/internal/tree"
 )
@@ -115,6 +117,58 @@ func TestSetDiv(t *testing.T) {
 	}
 	if m.SetDiv(ps) != 0 {
 		t.Fatal("set with duplicate patterns should have div 0")
+	}
+}
+
+// TestDivIndependentOfCache pins that the distance cache only saves
+// recomputation: Div with the GED'ₗ prune returns the same minimum with
+// a cold cache, a partly warm one, a fully warm one and one warmed by a
+// Div over the others in shuffled order. The patterns are random
+// connected 3–6-edge subgraphs of every dataset profile, in sets of six.
+func TestDivIndependentOfCache(t *testing.T) {
+	profiles := []dataset.Profile{dataset.AIDSLike(), dataset.PubChemLike(), dataset.EMolLike(), dataset.BoronicEsters()}
+	for pi, prof := range profiles {
+		seed := int64(101 + pi)
+		db := prof.GenerateDB(60, seed)
+		set := tree.Mine(db, 0.4, 3)
+		ix := index.Build(set, db, nil)
+		qs := dataset.Queries(db.Graphs(), 60, 3, 6, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for s := 0; s+6 <= len(qs); s += 6 {
+			ps := qs[s : s+6]
+			for i, p := range ps {
+				others := make([]*graph.Graph, 0, len(ps)-1)
+				for j, o := range ps {
+					if j != i {
+						others = append(others, o)
+					}
+				}
+				want := NewMetrics(db, set, ix, 0, 1).Div(p, others)
+				warm := func(name string, fill func(m *Metrics)) {
+					m := NewMetrics(db, set, ix, 0, 1)
+					fill(m)
+					if got := m.Div(p, others); got != want {
+						t.Errorf("%s set %d pattern %d: %s cache gives div %v, cold %v",
+							prof.Name, s/6, i, name, got, want)
+					}
+				}
+				warm("fully warm", func(m *Metrics) {
+					for _, o := range others {
+						m.Div(p, []*graph.Graph{o})
+					}
+				})
+				warm("partly warm", func(m *Metrics) {
+					for k := 1; k < len(others); k += 2 {
+						m.Div(p, []*graph.Graph{others[k]})
+					}
+				})
+				warm("shuffled", func(m *Metrics) {
+					shuffled := append([]*graph.Graph(nil), others...)
+					rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+					m.Div(p, shuffled)
+				})
+			}
+		}
 	}
 }
 

@@ -25,9 +25,6 @@ type SelectConfig struct {
 	// Walks is the number of random walks per summary graph per
 	// selection round (the paper uses 100).
 	Walks int
-	// StartEdges is how many distinct top-traversed starting edges
-	// propose candidates per summary and size (the PCP variety).
-	StartEdges int
 	// Seed drives all randomness; equal seeds reproduce selections.
 	Seed int64
 	// Pruner, when set, enables MIDAS's coverage-based pruning.
@@ -49,9 +46,6 @@ type SelectConfig struct {
 func (c SelectConfig) withDefaults() SelectConfig {
 	if c.Walks <= 0 {
 		c.Walks = 100
-	}
-	if c.StartEdges <= 0 {
-		c.StartEdges = 3
 	}
 	if c.MWUBeta <= 0 || c.MWUBeta >= 1 {
 		c.MWUBeta = 0.5
@@ -161,7 +155,7 @@ func (s *Selector) GenerateFCPs(clusterIDs []int) []*Candidate {
 		}
 		traversal, taken := s.walk(sg, s.weights[cid])
 		walks += taken
-		starts := startEdges(sg, traversal, s.cfg.StartEdges)
+		starts := startEdges(sg, traversal, startEdgeCount)
 		for size := s.cfg.Budget.MinSize; size <= s.cfg.Budget.MaxSize; size++ {
 			for _, start := range starts {
 				p := s.growFCP(sg, traversal, start, size)
@@ -258,6 +252,10 @@ func adjacentEdges(g *graph.Graph, e graph.Edge) []graph.Edge {
 	})
 	return out
 }
+
+// startEdgeCount is how many distinct top-traversed starting edges
+// propose candidates per summary and size (the PCP variety).
+const startEdgeCount = 3
 
 // startEdges proposes candidate growth seeds: the k most-traversed
 // edges overall, plus the most-traversed edge of every distinct edge

@@ -15,8 +15,10 @@ import (
 	"github.com/midas-graph/midas/internal/catapult"
 	"github.com/midas-graph/midas/internal/cluster"
 	"github.com/midas-graph/midas/internal/csg"
+	"github.com/midas-graph/midas/internal/ged"
 	"github.com/midas-graph/midas/internal/graphlet"
 	"github.com/midas-graph/midas/internal/index"
+	"github.com/midas-graph/midas/internal/iso"
 	"github.com/midas-graph/midas/internal/tree"
 )
 
@@ -32,6 +34,17 @@ const (
 	RandomSwap
 )
 
+// Fixed parameters of the pipeline.
+const (
+	// maxTreeEdges bounds the size of mined frequent trees.
+	maxTreeEdges = 3
+	// ksAlpha is the significance level of the pattern-size
+	// Kolmogorov–Smirnov swap guard.
+	ksAlpha = 0.05
+	// maxScans bounds the multi-scan swap loop.
+	maxScans = 5
+)
+
 // Config parameterises the engine. Zero values select the paper's
 // defaults (§7.1) where meaningful.
 type Config struct {
@@ -39,24 +52,17 @@ type Config struct {
 
 	// SupMin is the FCT support threshold (paper default 0.5).
 	SupMin float64
-	// MaxTreeEdges bounds mined tree size (default 3).
-	MaxTreeEdges int
 	// Epsilon is the evolution ratio threshold ε (default 0.1).
 	Epsilon float64
 	// Kappa and Lambda are the swapping thresholds (default 0.1).
 	Kappa  float64
 	Lambda float64
-	// KSAlpha is the significance level of the pattern-size
-	// Kolmogorov–Smirnov guard (default 0.05).
-	KSAlpha float64
-	// MaxScans bounds the multi-scan loop (default 5).
-	MaxScans int
 
 	Cluster cluster.Config
 
-	// Walks and StartEdges configure candidate generation.
-	Walks      int
-	StartEdges int
+	// Walks is the number of random walks per summary graph in
+	// candidate generation.
+	Walks int
 	// Workers selects the execution mode of every parallelised
 	// maintenance kernel (fine-clustering ω_MCCS columns, batch feature
 	// vectors, cover-set fan-outs, candidate and swap scoring): 0 is the
@@ -105,9 +111,6 @@ func (c Config) withDefaults() Config {
 	if c.SupMin == 0 {
 		c.SupMin = 0.5
 	}
-	if c.MaxTreeEdges == 0 {
-		c.MaxTreeEdges = 3
-	}
 	if c.Epsilon == 0 {
 		c.Epsilon = 0.1
 	}
@@ -117,17 +120,8 @@ func (c Config) withDefaults() Config {
 	if c.Lambda == 0 {
 		c.Lambda = 0.1
 	}
-	if c.KSAlpha == 0 {
-		c.KSAlpha = 0.05
-	}
-	if c.MaxScans == 0 {
-		c.MaxScans = 5
-	}
 	if c.Walks == 0 {
 		c.Walks = 60
-	}
-	if c.StartEdges == 0 {
-		c.StartEdges = 3
 	}
 	return c
 }
@@ -164,11 +158,26 @@ type Report struct {
 	VF2Steps  uint64 // VF2 search-tree nodes explored
 	MCCSSteps uint64 // MCCS search nodes explored
 	GEDNodes  uint64 // A* GED nodes expanded
+	// ClusterWork is the part of that work done by the cluster and CSG
+	// stages, the ones ClusterTime and CSGTime time (KernelWork units).
+	ClusterWork uint64
 }
 
 // PGT returns the pattern generation time: candidate generation plus
 // swapping (§7.3 Exp 1).
 func (r Report) PGT() time.Duration { return r.CandidateTime + r.SwapTime }
+
+// Work returns the call's kernel work in KernelWork units.
+func (r Report) Work() uint64 { return r.VF2Steps + r.MCCSSteps + r.GEDNodes }
+
+// KernelWork returns the process-wide kernel work done so far: VF2 and
+// MCCS search nodes plus A* GED expansions. Deltas around a computation
+// measure its work on a machine-independent scale; they are exact when
+// nothing else in the process runs kernels meanwhile.
+func KernelWork() uint64 {
+	is, gs := iso.Snapshot(), ged.Snapshot()
+	return is.VF2Steps + is.MCCSSteps + gs.ExactExpanded
+}
 
 // Engine owns the maintained state: database, mined trees, clusters,
 // summaries, indices, graphlet counter and the canned pattern set.
@@ -242,7 +251,7 @@ func NewEngineWithPatterns(db *graph.Database, cfg Config, patterns []*graph.Gra
 	cfg.Cluster.Workers = cfg.Workers
 	e := &Engine{cfg: cfg, db: db, sigma: 0.25}
 	clock := newStageClock()
-	e.set = tree.Mine(db, cfg.SupMin, cfg.MaxTreeEdges)
+	e.set = tree.Mine(db, cfg.SupMin, maxTreeEdges)
 	clock.lap("mine")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	e.cl = e.buildClustering(rng)
@@ -278,12 +287,6 @@ type Maintained struct {
 	NextPatternID              int
 }
 
-// Sigma returns the carried approximation-ratio bound σ of Lemma 6.3.
-func (e *Engine) Sigma() float64 { return e.sigma }
-
-// NextPatternID returns the ID the next new pattern will take.
-func (e *Engine) NextPatternID() int { return e.nextPatternID }
-
 // RestoreEngine is the exact restart path: the FCT set, the clustering
 // and the summaries are decoded from m instead of re-derived, and σ and
 // the pattern-ID allocator are carried over, so the engine maintains
@@ -301,7 +304,7 @@ func RestoreEngine(db *graph.Database, cfg Config, patterns []*graph.Graph, m Ma
 	e := &Engine{cfg: cfg, db: db, sigma: m.Sigma, nextPatternID: m.NextPatternID}
 	clock := newStageClock()
 	var err error
-	if e.set, err = tree.Decode(m.Trees, cfg.SupMin, cfg.MaxTreeEdges, db); err != nil {
+	if e.set, err = tree.Decode(m.Trees, cfg.SupMin, maxTreeEdges, db); err != nil {
 		return nil, err
 	}
 	if e.cl, err = cluster.Decode(m.Clusters, cfg.Cluster, db); err != nil {
@@ -335,7 +338,7 @@ func newEngine(db *graph.Database, cfg Config) *Engine {
 	cfg.Cluster.Workers = cfg.Workers
 	e := &Engine{cfg: cfg, db: db, sigma: 0.25}
 	clock := newStageClock()
-	e.set = tree.Mine(db, cfg.SupMin, cfg.MaxTreeEdges)
+	e.set = tree.Mine(db, cfg.SupMin, maxTreeEdges)
 	clock.lap("mine")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	e.cl = e.buildClustering(rng)
@@ -401,13 +404,12 @@ func (e *Engine) buildClustering(rng *rand.Rand) *cluster.Clustering {
 
 func (e *Engine) selectConfig(pruner catapult.Pruner) catapult.SelectConfig {
 	return catapult.SelectConfig{
-		Budget:     e.selectBudget(),
-		Walks:      e.cfg.Walks,
-		StartEdges: e.cfg.StartEdges,
-		Seed:       e.cfg.Seed,
-		Pruner:     pruner,
-		Parallel:   e.cfg.Workers,
-		Cancel:     e.cancel,
+		Budget:   e.selectBudget(),
+		Walks:    e.cfg.Walks,
+		Seed:     e.cfg.Seed,
+		Pruner:   pruner,
+		Parallel: e.cfg.Workers,
+		Cancel:   e.cancel,
 	}
 }
 

@@ -169,7 +169,7 @@ func (e *Engine) applyStructural(ctx context.Context, u graph.Update, rep *Repor
 	// Lines 1–2: cluster assignment and removal. Assignment uses the
 	// pre-update feature space, as in Algorithm 1.
 	affected := make(map[int]struct{})
-	tCluster := time.Now()
+	tCluster, wCluster := time.Now(), KernelWork()
 	for _, id := range u.Delete {
 		if cid := e.cl.Remove(id); cid >= 0 {
 			affected[cid] = struct{}{}
@@ -191,6 +191,7 @@ func (e *Engine) applyStructural(ctx context.Context, u graph.Update, rep *Repor
 		e.csgs.OnAssign(cid, g)
 	}
 	rep.ClusterTime = time.Since(tCluster)
+	rep.ClusterWork = KernelWork() - wCluster
 	if err := stage(ctx, "cluster"); err != nil {
 		return nil, err
 	}
@@ -215,7 +216,7 @@ func (e *Engine) applyStructural(ctx context.Context, u graph.Update, rep *Repor
 	// Lines 6–7: cluster-set and CSG-set maintenance. Oversized
 	// clusters are re-split; their summaries (and those of clusters the
 	// split created) are rebuilt.
-	tCluster = time.Now()
+	tCluster, wCluster = time.Now(), KernelWork()
 	oversized := make(map[int]struct{})
 	for _, c := range e.cl.Clusters() {
 		if c.Len() > e.cl.MaxSize() {
@@ -240,6 +241,7 @@ func (e *Engine) applyStructural(ctx context.Context, u graph.Update, rep *Repor
 	}
 	e.csgs.Sync(e.cl)
 	rep.CSGTime = time.Since(tCSG)
+	rep.ClusterWork += KernelWork() - wCluster
 	if err := stage(ctx, "csg"); err != nil {
 		return nil, err
 	}

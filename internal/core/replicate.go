@@ -8,28 +8,39 @@ import (
 	"github.com/midas-graph/midas/graph"
 )
 
+// PatternState is the part of the engine state that pattern
+// maintenance decides: the canned pattern set, σ (Lemma 6.3) and the
+// pattern-ID allocator. Together with the database delta it is what a
+// batch changes beyond the structures every node derives alike.
+type PatternState struct {
+	Patterns      []*graph.Graph
+	Sigma         float64
+	NextPatternID int
+}
+
+// PatternState returns a copy of the engine's pattern state.
+func (e *Engine) PatternState() PatternState {
+	return PatternState{Patterns: e.Patterns(), Sigma: e.sigma, NextPatternID: e.nextPatternID}
+}
+
 // ApplyReplicated applies a batch update whose pattern maintenance
 // already ran elsewhere: the database delta and the structural upkeep
 // (clusters, FCT set, CSGs, indices) are applied locally, and the
-// supplied pattern set — the primary's post-apply result — is
-// installed verbatim instead of re-running candidate generation and
-// swapping.
+// supplied pattern state — the primary's post-apply patterns, σ and
+// pattern-ID allocator — is installed verbatim instead of re-running
+// candidate generation and swapping.
 //
-// This is the replication follower's install path. Restore is exact
-// (RestoreEngine carries the tree set, clusters, summaries and σ), so
-// maintenance is a function of a full state bundle and the update. But
-// a follower never runs a swap: it installs patterns, so its σ and
-// pattern-ID allocator never advance the way the primary's do, and
-// re-running swaps on it cannot reproduce the primary's decisions.
-// Shipping the decided pattern set alongside the update makes the
-// follower's replicated state (options, database, patterns — what
-// SaveReplicatedState writes and state fingerprints bind) a
-// deterministic function of the record stream. Deriving the patterns
-// on followers instead is a separate decision.
+// This is the replication follower's install path. The structural
+// upkeep is a function of the state and the update, and the installed
+// pattern state is the primary's, so the follower's whole state — what
+// SaveState writes and replica fingerprints hash — equals the
+// primary's after every record, and a promoted follower swaps exactly
+// as the primary would have. Shipping the decided pattern state is
+// cheaper for followers than re-running the swap stage.
 //
 // Like MaintainContext it is transactional: the update is validated
 // up front, and any error or panic restores the pre-batch snapshot.
-func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns []*graph.Graph) (rep Report, err error) {
+func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, ps PatternState) (rep Report, err error) {
 	start := time.Now()
 	defer func() {
 		e.tel.observe(e, rep, err)
@@ -54,7 +65,7 @@ func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns [
 		e.restore(snap)
 		return rep, err
 	}
-	e.installPatterns(patterns)
+	e.installPatterns(ps)
 	if err := stage(ctx, "install"); err != nil {
 		e.restore(snap)
 		return rep, err
@@ -65,25 +76,21 @@ func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns [
 	return rep, nil
 }
 
-// installPatterns replaces the canned pattern set with ps, keeping the
-// pattern indices and the ID allocator consistent.
-func (e *Engine) installPatterns(ps []*graph.Graph) {
+// installPatterns replaces the pattern state with ps, keeping the
+// pattern indices consistent.
+func (e *Engine) installPatterns(ps PatternState) {
 	if e.ix != nil {
 		for _, p := range e.patterns {
 			e.ix.UnregisterPattern(p.ID)
 		}
 	}
-	e.patterns = append([]*graph.Graph(nil), ps...)
-	e.nextPatternID = 0
-	for _, p := range e.patterns {
-		if p.ID >= e.nextPatternID {
-			e.nextPatternID = p.ID + 1
-		}
-		if e.ix != nil {
+	e.patterns = append([]*graph.Graph(nil), ps.Patterns...)
+	e.sigma = ps.Sigma
+	e.nextPatternID = ps.NextPatternID
+	if e.ix != nil {
+		for _, p := range e.patterns {
 			e.ix.RegisterPattern(p)
 		}
-	}
-	if e.ix != nil {
 		e.ix.SyncFeatures(e.set, e.db, e.patterns)
 	}
 }

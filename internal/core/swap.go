@@ -31,14 +31,14 @@ type scored struct {
 // κ = 1 − 2σ_k = 1/(k+2), which shrinks toward 0 as batches go by.
 func (e *Engine) multiScanSwap(cands []*catapult.Candidate) (swaps, scans int) {
 	kappa := e.cfg.Kappa
-	for scans = 1; scans <= e.cfg.MaxScans; scans++ {
+	for scans = 1; scans <= maxScans; scans++ {
 		n := e.scanOnce(cands, kappa)
 		swaps += n
 		// Lemma 6.3: after a scan with κ_t, the approximation ratio is
 		// bounded by σ_t = 0.25 / (1 - σ_{t-1}); once σ >= 0.5 further
 		// scans cannot improve the bound. σ_k = (k+1)/(2k+4) stays
 		// below 1/2, so this stop never fires: scans end on a fruitless
-		// scan or at MaxScans.
+		// scan or at maxScans.
 		if e.sigma >= 0.5 {
 			break
 		}
@@ -153,7 +153,7 @@ func (e *Engine) trySwap(i int, pc *graph.Graph, kappa float64) bool {
 		return false
 	}
 	// Size-distribution guard (two-sample KS).
-	if !stats.KSSimilar(sizesOf(e.patterns), sizesOfAfterSwap(e.patterns, i, pc), e.cfg.KSAlpha) {
+	if !stats.KSSimilar(sizesOf(e.patterns), sizesOfAfterSwap(e.patterns, i, pc), ksAlpha) {
 		return false
 	}
 

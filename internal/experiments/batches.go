@@ -57,6 +57,7 @@ func makeBatchUpdate(spec BatchSpec, seed int64) func(d *graph.Database) graph.U
 // ApproachOutcome aggregates one approach's results on one batch.
 type ApproachOutcome struct {
 	Time     time.Duration // maintenance cost (0 for NoMaintain)
+	Work     uint64        // its kernel work (core.KernelWork units)
 	MP       float64       // missed percentage over the workload
 	AvgSteps float64       // average formulation steps
 	Mu       float64       // reduction ratio vs MIDAS (positive: MIDAS better)
@@ -103,6 +104,7 @@ func runBatch(base func(seed int64) *graph.Database, spec BatchSpec, s Scale) Ba
 		}
 		cmp.Outcomes[app] = ApproachOutcome{
 			Time:     sc.cost[app],
+			Work:     sc.work[app],
 			MP:       gui.MP(queries, sc.patterns[app]),
 			AvgSteps: stats.Mean(perSteps[app]),
 			Mu:       mu,

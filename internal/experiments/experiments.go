@@ -110,8 +110,11 @@ type scenario struct {
 	inserted []*graph.Graph
 	patterns map[Approach][]*graph.Graph
 	cost     map[Approach]time.Duration
-	engine   *core.Engine // the maintained MIDAS engine
-	report   core.Report
+	// work is each approach's kernel work (core.KernelWork units), the
+	// machine-independent twin of cost.
+	work   map[Approach]uint64
+	engine *core.Engine // the maintained MIDAS engine
+	report core.Report
 }
 
 // buildScenario bootstraps on `base`, applies the update, and produces
@@ -143,6 +146,7 @@ func buildScenario(base func(seed int64) *graph.Database, makeUpdate func(d *gra
 		inserted: u.Insert,
 		patterns: make(map[Approach][]*graph.Graph),
 		cost:     make(map[Approach]time.Duration),
+		work:     make(map[Approach]uint64),
 	}
 
 	rep, err := eng.Maintain(u)
@@ -153,6 +157,7 @@ func buildScenario(base func(seed int64) *graph.Database, makeUpdate func(d *gra
 	sc.report = rep
 	sc.patterns[MIDAS] = eng.Patterns()
 	sc.cost[MIDAS] = rep.Total
+	sc.work[MIDAS] = rep.Work()
 	sc.patterns[NoMaintain] = initial
 	sc.cost[NoMaintain] = 0
 
@@ -166,21 +171,26 @@ func buildScenario(base func(seed int64) *graph.Database, makeUpdate func(d *gra
 	}
 	sc.patterns[Random] = engR.Patterns()
 	sc.cost[Random] = repR.Total
+	sc.work[Random] = repR.Work()
 
 	// From-scratch baselines on D⊕ΔD.
 	cfgC := cfg
 	cfgC.UseClosedFeatures = false
 	cfgC.UseIndices = false
+	w0 := core.KernelWork()
 	engC := core.NewEngineWith(mustCopy(dbAfter), cfgC)
 	sc.patterns[CATAPULT] = engC.Patterns()
 	sc.cost[CATAPULT] = engC.BootstrapTime
+	sc.work[CATAPULT] = core.KernelWork() - w0
 
 	cfgP := cfg
 	cfgP.UseClosedFeatures = true
 	cfgP.UseIndices = true
+	w0 = core.KernelWork()
 	engP := core.NewEngineWith(mustCopy(dbAfter), cfgP)
 	sc.patterns[CATAPULTPP] = engP.Patterns()
 	sc.cost[CATAPULTPP] = engP.BootstrapTime
+	sc.work[CATAPULTPP] = core.KernelWork() - w0
 
 	return sc
 }

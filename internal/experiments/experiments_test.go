@@ -147,13 +147,15 @@ func TestFig14Shape(t *testing.T) {
 		t.Fatal("bad result")
 	}
 	// Headline: on insertion batches (major modifications), MIDAS
-	// maintenance is faster than CATAPULT from-scratch.
+	// maintenance is cheaper than CATAPULT from-scratch. Asserted on
+	// kernel work, which a busy machine cannot flip; the table keeps
+	// wall clock.
 	for _, c := range res.Comparisons {
 		m := c.Outcomes[MIDAS]
 		cat := c.Outcomes[CATAPULT]
-		if strings.HasPrefix(c.Batch, "+") && m.Time >= cat.Time {
-			t.Fatalf("batch %s: MIDAS %v not faster than CATAPULT %v",
-				c.Batch, m.Time, cat.Time)
+		if strings.HasPrefix(c.Batch, "+") && m.Work >= cat.Work {
+			t.Fatalf("batch %s: MIDAS work %d not below CATAPULT's %d",
+				c.Batch, m.Work, cat.Work)
 		}
 	}
 	for _, tbl := range res.Tables() {
@@ -175,10 +177,11 @@ func TestFig16Shape(t *testing.T) {
 		if row.PMT <= 0 {
 			t.Fatalf("missing PMT at |D|=%d", row.DBSize)
 		}
-		// Cluster maintenance must beat from-scratch regeneration.
-		if row.ClusterMaintain >= row.ClusterScratch {
-			t.Fatalf("|D|=%d: cluster maintain %v not faster than scratch %v",
-				row.DBSize, row.ClusterMaintain, row.ClusterScratch)
+		// Cluster maintenance must beat from-scratch regeneration, in
+		// kernel work.
+		if row.ClusterMaintainWork >= row.ClusterScratchWork {
+			t.Fatalf("|D|=%d: cluster maintenance work %d not below scratch %d",
+				row.DBSize, row.ClusterMaintainWork, row.ClusterScratchWork)
 		}
 	}
 	if res.Table().String() == "" {

@@ -25,7 +25,11 @@ type Fig16Row struct {
 	// paper's 2.3 min vs 25 h comparison).
 	ClusterMaintain time.Duration
 	ClusterScratch  time.Duration
-	Quality         catapult.Quality
+	// ClusterMaintainWork and ClusterScratchWork are the kernel work of
+	// the same two computations (core.KernelWork units).
+	ClusterMaintainWork uint64
+	ClusterScratchWork  uint64
+	Quality             catapult.Quality
 	// Mu compares formulation steps using this scale's maintained
 	// pattern set against the smallest scale's set on this scale's own
 	// workload (the paper's step_X vs step_200K; negative values mean
@@ -62,12 +66,12 @@ func Fig16Scalability(s Scale) Fig16Result {
 		// From-scratch cluster generation on D⊕ΔD for the speedup
 		// comparison (mining + clustering + summaries).
 		after := mustCopy(eng.DB())
-		t0 := time.Now()
+		t0, w0 := time.Now(), core.KernelWork()
 		set := tree.Mine(after, 0.4, 3)
 		cl := cluster.Build(after, set, cluster.Config{}, rand.New(rand.NewSource(s.Seed)))
 		mgr := csg.NewManager(0)
 		mgr.BuildAll(cl)
-		scratch := time.Since(t0)
+		scratch, scratchWork := time.Since(t0), core.KernelWork()-w0
 
 		queries := dataset.BalancedQueries(eng.DB(), ins, s.Queries, 4, 12, s.Seed+13)
 		sim := gui.NewSimulator(s.Gamma)
@@ -89,13 +93,15 @@ func Fig16Scalability(s Scale) Fig16Result {
 		}
 
 		res.Rows = append(res.Rows, Fig16Row{
-			DBSize:          n,
-			PMT:             rep.Total,
-			PGT:             rep.PGT(),
-			ClusterMaintain: rep.ClusterTime + rep.CSGTime,
-			ClusterScratch:  scratch,
-			Quality:         eng.Quality(),
-			Mu:              mu,
+			DBSize:              n,
+			PMT:                 rep.Total,
+			PGT:                 rep.PGT(),
+			ClusterMaintain:     rep.ClusterTime + rep.CSGTime,
+			ClusterScratch:      scratch,
+			ClusterMaintainWork: rep.ClusterWork,
+			ClusterScratchWork:  scratchWork,
+			Quality:             eng.Quality(),
+			Mu:                  mu,
 		})
 	}
 	return res

@@ -112,7 +112,10 @@ func (w *Watcher) maxRetries() int {
 // settled before all others. It is the unit the polling loop calls;
 // tests call it directly. A failing batch stops the scan (preserving
 // batch order) and stays in place for inspection until it has failed
-// MaxRetries scans, after which it is renamed *.failed and skipped.
+// MaxRetries scans, after which it is renamed *.failed and skipped. A
+// batch the pipeline turns away — its queue full, or the pipeline
+// stopped — also stops the scan, but is not a failure: it keeps its
+// retry budget.
 func (w *Watcher) Scan() (int, error) {
 	entries, err := w.fs().ReadDir(w.Dir)
 	if err != nil {
@@ -138,6 +141,13 @@ func (w *Watcher) Scan() (int, error) {
 			break
 		}
 		ok, err := w.processBatch(name)
+		if errors.Is(err, snapshot.ErrQueueFull) || errors.Is(err, snapshot.ErrStopped) {
+			// Backpressure or shutdown turned the batch away; the batch
+			// did not fail. Stop here, preserving batch order, and leave
+			// its retry budget alone.
+			w.failures++
+			return applied, fmt.Errorf("panel: batch %s: %w", name, err)
+		}
 		if err != nil {
 			if w.noteFailure(name, err) {
 				continue // parked; the spool is unblocked

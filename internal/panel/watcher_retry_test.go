@@ -1,13 +1,18 @@
 package panel
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/dataset"
+	"github.com/midas-graph/midas/internal/snapshot"
 )
 
 // TestRetryScheduleShape pins the retry schedule: exponential growth
@@ -103,5 +108,76 @@ func TestWatcherBackoffWindowAndParking(t *testing.T) {
 		if !strings.Contains(string(reason), want) {
 			t.Fatalf("reason file missing %q:\n%s", want, reason)
 		}
+	}
+}
+
+// TestWatcherQueueFullKeepsRetryBudget is the regression test for a
+// valid spool batch parked as *.failed because the maintenance queue
+// was full: backpressure is not a failure of the batch. With one batch
+// wedged in flight and the one-slot queue taken, every scan is turned
+// away with ErrQueueFull; the file must stay pending with its retry
+// budget untouched, and apply once the queue drains.
+func TestWatcherQueueFullKeepsRetryBudget(t *testing.T) {
+	eng, dir := watcherEngine(), t.TempDir()
+	pipe := snapshot.NewPipeline(eng, snapshot.NewHandle(), snapshot.Config{QueueSize: 1})
+	pipe.Start()
+	release := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(release) }) }
+	// Pipeline.Stop waits for the in-flight Before hook, so the wedge is
+	// released before the pipeline stops and before any failure.
+	t.Cleanup(func() {
+		unwedge()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		pipe.Stop(ctx)
+	})
+	fail := func(format string, args ...any) {
+		t.Helper()
+		unwedge()
+		t.Fatalf(format, args...)
+	}
+
+	started := make(chan struct{})
+	wedge, err := pipe.Submit(snapshot.Batch{
+		Name:   "wedge",
+		Update: graph.Update{Insert: dataset.BoronicEsters().Generate(1, 5000, 1)},
+		Before: func() error { close(started); <-release; return nil },
+	})
+	if err != nil {
+		fail("submit wedge: %v", err)
+	}
+	<-started
+	queued, err := pipe.Submit(snapshot.Batch{Name: "queued", Update: graph.Update{Insert: dataset.BoronicEsters().Generate(1, 5100, 2)}})
+	if err != nil {
+		fail("submit queued: %v", err)
+	}
+
+	w := &Watcher{Dir: dir, Pipe: pipe, MaxRetries: 3}
+	writeBatch(t, dir, "a.graphs", dataset.BoronicEsters().Generate(2, 6000, 19))
+	for scan := 1; scan <= w.MaxRetries; scan++ {
+		if _, err := w.Scan(); !errors.Is(err, snapshot.ErrQueueFull) {
+			fail("scan %d: err = %v, want ErrQueueFull", scan, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a.graphs")); err != nil {
+		fail("a valid batch left the spool under backpressure: %v", err)
+	}
+	if got := w.retries["a.graphs"]; got != 0 {
+		fail("backpressure spent %d of the batch's retries", got)
+	}
+
+	unwedge()
+	for _, tkt := range []snapshot.Ticket{wedge, queued} {
+		if res := <-tkt.Done; res.Err != nil {
+			t.Fatalf("batch %s: %v", res.Name, res.Err)
+		}
+	}
+	before := eng.DB().Len()
+	if n, err := w.Scan(); n != 1 || err != nil {
+		t.Fatalf("scan after the queue drained: applied %d, err %v", n, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a.graphs.done")); err != nil || eng.DB().Len() != before+2 {
+		t.Fatalf("a.graphs not applied once the queue drained (%v)", err)
 	}
 }

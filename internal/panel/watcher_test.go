@@ -16,16 +16,21 @@ import (
 
 func watcherFixture(t *testing.T) (*Watcher, *midas.Engine, string) {
 	t.Helper()
-	db := dataset.EMolLike().GenerateDB(15, 3)
-	eng := midas.New(db, midas.Options{
+	eng := watcherEngine()
+	dir := t.TempDir()
+	return &Watcher{Dir: dir, Pipe: startPipeline(t, eng)}, eng, dir
+}
+
+// watcherEngine bootstraps the small engine the watcher tests spool
+// batches into.
+func watcherEngine() *midas.Engine {
+	return midas.New(dataset.EMolLike().GenerateDB(15, 3), midas.Options{
 		Budget:  midas.Budget{MinSize: 2, MaxSize: 4, Count: 4},
 		SupMin:  0.4,
 		Epsilon: 0.02,
 		Walks:   30,
 		Seed:    1,
 	})
-	dir := t.TempDir()
-	return &Watcher{Dir: dir, Pipe: startPipeline(t, eng)}, eng, dir
 }
 
 // startPipeline starts a maintenance pipeline over eng, stopped at

@@ -7,16 +7,16 @@
 // record in the same log, and a deposed primary's stream is rejected
 // and demotes itself.
 //
-// Replication ships results, not computations. A follower never runs
-// a swap, so it does not carry the σ and pattern-ID allocator that
-// swap decisions read and advance. Each shipped record therefore
+// Replication ships results, not computations. Each shipped record
 // carries the post-remap update AND the primary's post-apply pattern
-// set; a follower applies the database delta mechanically
-// (deterministic) and installs the shipped patterns verbatim
-// (Engine.ApplyReplicated). The replicated state — options, database
-// and patterns, what midas.SaveReplicatedState writes — is then a
-// deterministic function of the record stream, verified continuously
-// by per-LSN fingerprints.
+// state: the pattern set, σ and the pattern-ID allocator. A follower
+// applies the database delta and the structural upkeep (deterministic)
+// and installs the shipped pattern state verbatim
+// (Engine.ApplyReplicated), which costs it far less than re-running the
+// swap stage. The follower's whole state — the v3 bundle SaveState
+// writes — is then a deterministic function of the record stream,
+// verified continuously by per-LSN fingerprints, and a promoted
+// follower maintains exactly as the primary would have.
 package replica
 
 import (
@@ -33,60 +33,73 @@ import (
 // updatePayload is the wire form of one committed batch: the Δ- IDs,
 // the Δ+ graphs in the text format (which carries each graph's ID, so
 // the primary's post-remap IDs arrive verbatim), and the primary's
-// post-apply pattern set, shipped as a result for verbatim install.
+// post-apply pattern state, shipped as a result for verbatim install.
+// Sigma and NextPatternID are pointers so that a payload without them
+// — written by a binary that predates them — is told apart from one
+// carrying zeros.
 type updatePayload struct {
-	Delete   []int  `json:"delete,omitempty"`
-	Insert   string `json:"insert,omitempty"`
-	Patterns string `json:"patterns"`
+	Delete        []int    `json:"delete,omitempty"`
+	Insert        string   `json:"insert,omitempty"`
+	Patterns      string   `json:"patterns"`
+	Sigma         *float64 `json:"sigma"`
+	NextPatternID *int     `json:"nextPatternID"`
 }
 
 // EncodeUpdate serialises one committed batch: the update exactly as
-// applied plus the pattern set the primary's maintenance decided. It
+// applied plus the pattern state the primary's maintenance decided. It
 // must be called after the batch applied (the pipeline's OnApplied
 // hook observes the post-remap update and the post-apply engine), so a
-// follower installs the same IDs and the same patterns.
-func EncodeUpdate(u graph.Update, patterns []*graph.Graph) ([]byte, error) {
-	p := updatePayload{Delete: u.Delete, Patterns: graph.Marshal(patterns)}
+// follower installs the same IDs and the same pattern state.
+func EncodeUpdate(u graph.Update, ps midas.PatternState) ([]byte, error) {
+	p := updatePayload{Delete: u.Delete, Patterns: graph.Marshal(ps.Patterns),
+		Sigma: &ps.Sigma, NextPatternID: &ps.NextPatternID}
 	if len(u.Insert) > 0 {
 		p.Insert = graph.Marshal(u.Insert)
 	}
 	return json.Marshal(p)
 }
 
-// DecodeUpdate parses a payload encoded by EncodeUpdate.
-func DecodeUpdate(b []byte) (graph.Update, []*graph.Graph, error) {
+// DecodeUpdate parses a payload encoded by EncodeUpdate. A payload
+// without σ or the pattern-ID allocator was written by an older binary,
+// whose fingerprints hashed a smaller form of the state: no install of
+// it can verify, so it is rejected as ErrDiverged before anything is
+// applied.
+func DecodeUpdate(b []byte) (graph.Update, midas.PatternState, error) {
 	var p updatePayload
 	if err := json.Unmarshal(b, &p); err != nil {
-		return graph.Update{}, nil, fmt.Errorf("replica: decoding update payload: %w", err)
+		return graph.Update{}, midas.PatternState{}, fmt.Errorf("replica: decoding update payload: %w", err)
+	}
+	if p.Sigma == nil || p.NextPatternID == nil {
+		return graph.Update{}, midas.PatternState{}, fmt.Errorf(
+			"replica: update payload carries no σ or pattern-ID allocator (written by an older binary): %w", ErrDiverged)
 	}
 	u := graph.Update{Delete: p.Delete}
 	if p.Insert != "" {
 		ins, err := graph.Unmarshal(p.Insert)
 		if err != nil {
-			return graph.Update{}, nil, fmt.Errorf("replica: decoding insert graphs: %w", err)
+			return graph.Update{}, midas.PatternState{}, fmt.Errorf("replica: decoding insert graphs: %w", err)
 		}
 		u.Insert = ins
 	}
 	patterns, err := graph.Unmarshal(p.Patterns)
 	if err != nil {
-		return graph.Update{}, nil, fmt.Errorf("replica: decoding pattern set: %w", err)
+		return graph.Update{}, midas.PatternState{}, fmt.Errorf("replica: decoding pattern set: %w", err)
 	}
-	return u, patterns, nil
+	return u, midas.PatternState{Patterns: patterns, Sigma: *p.Sigma, NextPatternID: *p.NextPatternID}, nil
 }
 
 // Fingerprint is the canonical state fingerprint: FNV-64a over the
-// engine's replicated state (database + patterns + the engine's own
-// options with Workers recorded as 0, no metadata) in its v2 bundle
-// form. The primary stamps it on every shipped record after applying
-// the batch; the follower recomputes it after re-applying and any
-// mismatch is divergence — the replica quarantines its state and
-// re-bootstraps from the primary's bundle. SaveReplicatedState is
-// deterministic (ordered sections, canonical JSON header), so equal
-// engine state means equal fingerprint on both sides, whatever worker
-// count each runs.
+// engine's v3 state bundle (SaveState: options with Workers recorded as
+// 0, database, pattern state and maintained structures, no metadata).
+// The primary stamps it on every shipped record after applying the
+// batch; the follower recomputes it after re-applying and any mismatch
+// is divergence — the replica quarantines its state and re-bootstraps
+// from the primary's bundle. SaveState is deterministic (ordered
+// sections, canonical JSON header), so equal engine state means equal
+// fingerprint on both sides, whatever worker count each runs.
 func Fingerprint(eng *midas.Engine) (uint64, error) {
 	h := fnv.New64a()
-	if err := midas.SaveReplicatedState(h, eng); err != nil {
+	if err := midas.SaveState(h, eng); err != nil {
 		return 0, fmt.Errorf("replica: fingerprinting state: %w", err)
 	}
 	return h.Sum64(), nil

@@ -329,11 +329,14 @@ func (n *Node) Start(ctx context.Context) error {
 		// Stop without the shard's final save (and forget the shard, so a
 		// later Stop does not drain it either), and quarantine only the
 		// generation a diverged record wrote: the bundle the node started
-		// from stays on disk as its previous generation.
+		// from stays on disk as its previous generation. A record
+		// rejected before its apply (a payload from an older binary)
+		// wrote none: the installer's position is still the last
+		// verified one.
 		n.Pipeline().Stop(ctx)
 		n.shard = nil
 		log.Close()
-		if errors.Is(err, ErrDiverged) {
+		if at, _ := positionFromMeta(n.installMeta); errors.Is(err, ErrDiverged) && at > n.LastLSN() {
 			n.quarantine(n.bundlePath)
 		}
 		return err
@@ -513,7 +516,7 @@ func (n *Node) commit(b snapshot.Batch) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := EncodeUpdate(b.Update, eng.Patterns())
+	data, err := EncodeUpdate(b.Update, eng.PatternState())
 	if err != nil {
 		return nil, err
 	}
@@ -546,12 +549,12 @@ func (n *Node) install(log *store.RepLog, rec store.RepRecord) error {
 			return err
 		}
 	} else {
-		u, patterns, err := DecodeUpdate(rec.Data)
+		u, ps, err := DecodeUpdate(rec.Data)
 		if err != nil {
-			return err
+			return fmt.Errorf("replica: LSN %d: %w", rec.LSN, err)
 		}
 		n.installMeta = positionMeta(rec.LSN, rec.Epoch)
-		if err := n.apply(snapshot.Batch{Name: rec.Name, Update: u, FromReplica: true, ReplicaPatterns: patterns}); err != nil {
+		if err := n.apply(snapshot.Batch{Name: rec.Name, Update: u, FromReplica: true, ReplicaState: ps}); err != nil {
 			return fmt.Errorf("replica: installing LSN %d: %w", rec.LSN, err)
 		}
 		fpr, err := Fingerprint(n.shard.Engine())

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -162,30 +162,6 @@ func bundleOf(t *testing.T, n *Node) []byte {
 	return data
 }
 
-// sameBundle reports whether two persisted bundles hold the same
-// state: the payload — database, patterns and the maintained
-// structures — byte for byte, and the same header apart from σ and the
-// pattern-ID allocator. Only swaps advance those two, and a follower
-// never swaps: it installs the primary's patterns.
-func sameBundle(a, b []byte) bool {
-	header := func(x []byte) (map[string]json.RawMessage, []byte) {
-		parts := bytes.SplitN(x, []byte("\n"), 3)
-		if len(parts) != 3 {
-			return nil, nil
-		}
-		var h map[string]json.RawMessage
-		if json.Unmarshal(parts[1], &h) != nil {
-			return nil, nil
-		}
-		delete(h, "sigma")
-		delete(h, "nextPatternID")
-		return h, append(parts[0], parts[2]...)
-	}
-	ha, pa := header(a)
-	hb, pb := header(b)
-	return ha != nil && reflect.DeepEqual(ha, hb) && bytes.Equal(pa, pb)
-}
-
 func TestPrimaryCommitsToLog(t *testing.T) {
 	sim := vfs.NewSim()
 	p := startNode(t, Config{FS: sim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
@@ -254,7 +230,7 @@ func TestFollowerConvergesByPull(t *testing.T) {
 	submitWrite(t, p, "w4", graph.Update{Delete: []int{1, 3}})
 	waitConverged(t, f, 4)
 
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatalf("bundles differ after convergence (%d vs %d bytes)", len(pb), len(fb))
 	}
 	pf, _ := Fingerprint(p.shard.Engine())
@@ -279,7 +255,7 @@ func TestFollowerConvergesByPull(t *testing.T) {
 // TestFollowerWorkersMismatch pins that replicated state does not
 // depend on the Workers knob: a follower running a different worker
 // count from its primary installs every shipped record without
-// ErrDiverged and ends on the same bundle (sameBundle). Bundles and
+// ErrDiverged and ends on the same bundle, byte for byte. Bundles and
 // fingerprints record Workers as 0, so differently sized machines can
 // pair up.
 func TestFollowerWorkersMismatch(t *testing.T) {
@@ -306,7 +282,7 @@ func TestFollowerWorkersMismatch(t *testing.T) {
 	if f.LastLSN() != 2 {
 		t.Fatalf("follower at LSN %d, want 2", f.LastLSN())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatalf("bundles differ across worker counts (%d vs %d bytes)", len(pb), len(fb))
 	}
 }
@@ -328,7 +304,7 @@ func TestFollowerConvergesByPush(t *testing.T) {
 	submitWrite(t, p, "w2", graph.Update{Delete: []int{0}})
 	waitConverged(t, f, 2)
 
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatal("bundles differ after push convergence")
 	}
 }
@@ -399,6 +375,115 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 	}
 }
 
+// TestPromotedFollowerMaintainsAsPrimary pins that replication carries
+// the whole engine state: a follower promoted after major batches
+// maintains exactly as the old primary's engine would have. Records
+// ship σ and the pattern-ID allocator next to the pattern set, so the
+// promoted follower's next batch saves the bundle that a twin restored
+// from the old primary's bundle saves after the same batch.
+func TestPromotedFollowerMaintainsAsPrimary(t *testing.T) {
+	psim, fsim := vfs.NewSim(), vfs.NewSim()
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
+		Upstream: nodeTransport{peer: p}, PollInterval: 5 * time.Millisecond})
+	for i, prof := range []dataset.Profile{dataset.BoronicEsters(), dataset.AIDSLike()} {
+		name := fmt.Sprintf("w%d", i+1)
+		res := submitWrite(t, p, name, graph.Update{Insert: prof.Generate(8, 1000+100*i, int64(20+i))})
+		if res.Err != nil || !res.Report.Major {
+			t.Fatalf("%s: major %v, err %v; want a major batch", name, res.Report.Major, res.Err)
+		}
+	}
+	waitConverged(t, f, 2)
+	twin, err := midas.LoadState(bytes.NewReader(bundleOf(t, p)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Promote(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+
+	next := func() graph.Update { return graph.Update{Insert: dataset.PubChemLike().Generate(8, 1200, 22)} }
+	if res := submitWrite(t, f, "w3", next()); res.Err != nil {
+		t.Fatalf("write on the promoted follower: %v", res.Err)
+	}
+	if _, err := twin.Maintain(next()); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := midas.SaveState(&got, f.shard.Engine()); err != nil {
+		t.Fatal(err)
+	}
+	if err := midas.SaveState(&want, twin); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("promoted follower's bundle differs from the old primary's twin:\n%s\nvs\n%s",
+			bytes.SplitN(got.Bytes(), []byte("\n"), 3)[1], bytes.SplitN(want.Bytes(), []byte("\n"), 3)[1])
+	}
+}
+
+// oldFormat rewrites a data record's payload into the form binaries
+// wrote before records carried σ and the pattern-ID allocator.
+func oldFormat(t *testing.T, rec store.RepRecord) store.RepRecord {
+	t.Helper()
+	var payload map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Data, &payload); err != nil {
+		t.Fatal(err)
+	}
+	delete(payload, "sigma")
+	delete(payload, "nextPatternID")
+	data, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Data = data
+	return rec
+}
+
+// TestOldFormatRecordDiverges pins the upgrade path: a record whose
+// payload carries no σ (written by an older binary, with a fingerprint
+// over a smaller form of the state) can never verify, so a follower
+// rejects it as ErrDiverged before applying anything — it never
+// installs σ = 0 — and then re-bootstraps from its upstream's bundle.
+func TestOldFormatRecordDiverges(t *testing.T) {
+	psim, fsim := vfs.NewSim(), vfs.NewSim()
+	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
+	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(6, 1000, 20)})
+	// The follower bootstraps from the primary's bundle at LSN 1 and does
+	// not poll during the test.
+	f := startNode(t, Config{FS: fsim, Dir: "f", Shard: testShard(),
+		Upstream: nodeTransport{peer: p}, PollInterval: time.Hour})
+	submitWrite(t, p, "w2", graph.Update{Insert: dataset.BoronicEsters().Generate(6, 1100, 21)})
+	recs, err := p.ReadRecords(1, 0)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("primary log past LSN 1: %d records, %v", len(recs), err)
+	}
+	before := f.shard.Engine().PatternState()
+	bundleBefore := bundleOf(t, f)
+
+	if _, err := f.applyRecords([]store.RepRecord{oldFormat(t, recs[0])}); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("old-format record: err = %v, want ErrDiverged", err)
+	}
+	after := f.shard.Engine().PatternState()
+	if after.Sigma == 0 || after.Sigma != before.Sigma || after.NextPatternID != before.NextPatternID || f.LastLSN() != 1 {
+		t.Fatalf("old-format record changed the follower: σ %v → %v, next pattern ID %d → %d, LSN %d",
+			before.Sigma, after.Sigma, before.NextPatternID, after.NextPatternID, f.LastLSN())
+	}
+	if !bytes.Equal(bundleOf(t, f), bundleBefore) {
+		t.Fatal("old-format record wrote a bundle generation")
+	}
+
+	// Pushed, the same record makes the follower re-bootstrap onto the
+	// primary's bundle.
+	f.ReceivePush(PushRequest{Epoch: p.Epoch(), Records: []store.RepRecord{oldFormat(t, recs[0])}})
+	if f.LastLSN() != 2 {
+		t.Fatalf("follower at LSN %d after re-bootstrap, want 2", f.LastLSN())
+	}
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
+		t.Fatal("bundles differ after re-bootstrap")
+	}
+}
+
 func TestFollowerRestartReplaysSuffix(t *testing.T) {
 	psim, fsim := vfs.NewSim(), vfs.NewSim()
 	p := startNode(t, Config{FS: psim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap})
@@ -437,7 +522,7 @@ func TestFollowerRestartReplaysSuffix(t *testing.T) {
 	if f2.LastLSN() != 2 {
 		t.Fatalf("restart position = %d, want 2 (suffix replayed)", f2.LastLSN())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !bytes.Equal(pb, fb) {
 		t.Fatal("bundles differ after restart replay")
 	}
 }
@@ -479,7 +564,7 @@ func TestDivergenceQuarantinesAndRebootstraps(t *testing.T) {
 	if f.Handle().Generation() <= genBefore {
 		t.Fatalf("generation went backwards: %d -> %d", genBefore, f.Handle().Generation())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatal("bundles differ after re-bootstrap")
 	}
 }
@@ -488,11 +573,11 @@ func TestUpdatePayloadRoundTrip(t *testing.T) {
 	ins := dataset.BoronicEsters().Generate(3, 42, 6)
 	pats := dataset.BoronicEsters().Generate(2, 900, 7)
 	u := graph.Update{Insert: ins, Delete: []int{7, 9}}
-	b, err := EncodeUpdate(u, pats)
+	b, err := EncodeUpdate(u, midas.PatternState{Patterns: pats, Sigma: 0.375, NextPatternID: 917})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotPats, err := DecodeUpdate(b)
+	got, gotPS, err := DecodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,17 +587,20 @@ func TestUpdatePayloadRoundTrip(t *testing.T) {
 	if got.Insert[1].String() != ins[1].String() {
 		t.Fatal("graph text changed across the round trip")
 	}
-	if len(gotPats) != 2 || gotPats[0].ID != 900 || gotPats[1].String() != pats[1].String() {
+	if gotPats := gotPS.Patterns; len(gotPats) != 2 || gotPats[0].ID != 900 || gotPats[1].String() != pats[1].String() {
 		t.Fatalf("round trip mangled the pattern set: %+v", gotPats)
+	}
+	if gotPS.Sigma != 0.375 || gotPS.NextPatternID != 917 {
+		t.Fatalf("round trip gave σ %v, next pattern ID %d; want 0.375, 917", gotPS.Sigma, gotPS.NextPatternID)
 	}
 	// An empty pattern set survives too (a primary can legitimately
 	// hold zero patterns).
-	b, err = EncodeUpdate(graph.Update{Delete: []int{1}}, nil)
+	b, err = EncodeUpdate(graph.Update{Delete: []int{1}}, midas.PatternState{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, gotPats, err = DecodeUpdate(b); err != nil || len(gotPats) != 0 {
-		t.Fatalf("empty pattern set round trip: %v, %d patterns", err, len(gotPats))
+	if _, gotPS, err = DecodeUpdate(b); err != nil || len(gotPS.Patterns) != 0 {
+		t.Fatalf("empty pattern set round trip: %v, %d patterns", err, len(gotPS.Patterns))
 	}
 }
 

@@ -126,41 +126,50 @@ func TestColdPrimaryRefusesUnverifiableHistory(t *testing.T) {
 // restart whose replay diverges: the failed start saved again on its
 // way out and quarantined both generations, destroying the verified
 // bundle it had restored. The start must fail with ErrDiverged, on
-// every attempt, and leave that bundle's bytes for the next restart.
+// every attempt, and leave that bundle's bytes for the next restart —
+// whether the record's replay fails its fingerprint or its payload,
+// written by an older binary, carries no σ and is refused unapplied.
 func TestDivergentReplayKeepsStartBundle(t *testing.T) {
-	sim := vfs.NewSim()
-	cfg := Config{FS: sim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap}
-	p := startNode(t, cfg)
-	submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
-	want, err := sim.ReadFile("p/state.bundle")
-	if lsn, _ := bundlePosition(want); err != nil || lsn != 1 {
-		t.Fatalf("bundle position = %d (%v), want 1", lsn, err)
-	}
-	submitWrite(t, p, "w2", graph.Update{Insert: dataset.BoronicEsters().Generate(1, 300, 4)})
-	recs, err := p.ReadRecords(0, 0)
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("primary log: %d records, %v", len(recs), err)
-	}
-	stopNode(t, p)
+	for name, diverge := range map[string]func(store.RepRecord) store.RepRecord{
+		"fingerprint": func(r store.RepRecord) store.RepRecord { r.Fingerprint ^= 0xdeadbeef; return r },
+		"old format":  func(r store.RepRecord) store.RepRecord { return oldFormat(t, r) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sim := vfs.NewSim()
+			cfg := Config{FS: sim, Dir: "p", Shard: testShard(), Bootstrap: testBootstrap}
+			p := startNode(t, cfg)
+			submitWrite(t, p, "w1", graph.Update{Insert: dataset.BoronicEsters().Generate(2, 0, 5)})
+			want, err := sim.ReadFile("p/state.bundle")
+			if lsn, _ := bundlePosition(want); err != nil || lsn != 1 {
+				t.Fatalf("bundle position = %d (%v), want 1", lsn, err)
+			}
+			submitWrite(t, p, "w2", graph.Update{Insert: dataset.BoronicEsters().Generate(1, 300, 4)})
+			recs, err := p.ReadRecords(0, 0)
+			if err != nil || len(recs) != 2 {
+				t.Fatalf("primary log: %d records, %v", len(recs), err)
+			}
+			stopNode(t, p)
 
-	// The disk holds the bundle of LSN 1 and the log through LSN 2, whose
-	// record carries a fingerprint its replay cannot reproduce.
-	if err := sim.Remove("p/state.bundle.prev"); err != nil {
-		t.Fatal(err)
-	}
-	recs[1].Fingerprint ^= 0xdeadbeef
-	writeSimFile(t, sim, "p/state.bundle", want)
-	writeSimFile(t, sim, "p/replication.log", store.EncodeRecords(recs))
+			// The disk holds the bundle of LSN 1 and the log through LSN 2,
+			// whose record cannot verify.
+			if err := sim.Remove("p/state.bundle.prev"); err != nil {
+				t.Fatal(err)
+			}
+			recs[1] = diverge(recs[1])
+			writeSimFile(t, sim, "p/state.bundle", want)
+			writeSimFile(t, sim, "p/replication.log", store.EncodeRecords(recs))
 
-	for attempt := 1; attempt <= 2; attempt++ {
-		n := NewNode(cfg)
-		if err := n.Start(context.Background()); !errors.Is(err, ErrDiverged) {
-			t.Fatalf("attempt %d: start err = %v, want ErrDiverged", attempt, err)
-		}
-		got, _, err := store.LoadBundle(sim.Clone(), "p/state.bundle", midas.VerifyState)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("attempt %d: the bundle the start restored is gone (%v)", attempt, err)
-		}
+			for attempt := 1; attempt <= 2; attempt++ {
+				n := NewNode(cfg)
+				if err := n.Start(context.Background()); !errors.Is(err, ErrDiverged) {
+					t.Fatalf("attempt %d: start err = %v, want ErrDiverged", attempt, err)
+				}
+				got, _, err := store.LoadBundle(sim.Clone(), "p/state.bundle", midas.VerifyState)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("attempt %d: the bundle the start restored is gone (%v)", attempt, err)
+				}
+			}
+		})
 	}
 }
 
@@ -248,7 +257,7 @@ func TestStopDuringRebootstrapRefetches(t *testing.T) {
 	if f2.LastLSN() != 2 {
 		t.Fatalf("restart position = %d, want 2", f2.LastLSN())
 	}
-	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f2); !bytes.Equal(pb, fb) {
 		t.Fatal("bundles differ after the re-fetch")
 	}
 }

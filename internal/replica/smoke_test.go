@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -36,7 +37,7 @@ func TestSmokeFailoverHTTP(t *testing.T) {
 
 	submitWrite(t, p, "w2", graph.Update{Insert: dataset.BoronicEsters().Generate(1, 100, 4)})
 	waitConverged(t, f, 2)
-	if pb, fb := bundleOf(t, p), bundleOf(t, f); !sameBundle(pb, fb) {
+	if pb, fb := bundleOf(t, p), bundleOf(t, f); !bytes.Equal(pb, fb) {
 		t.Fatal("bundles differ after HTTP convergence")
 	}
 

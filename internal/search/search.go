@@ -17,7 +17,6 @@ import (
 	"github.com/midas-graph/midas/graph"
 	"github.com/midas-graph/midas/internal/index"
 	"github.com/midas-graph/midas/internal/iso"
-	"github.com/midas-graph/midas/internal/parallel"
 	"github.com/midas-graph/midas/internal/tree"
 )
 
@@ -25,12 +24,10 @@ import (
 type Options struct {
 	// Limit caps the number of results (0 = all).
 	Limit int
-	// MaxSteps bounds each VF2 verification (0 = default).
-	MaxSteps int
-	// Workers sets verification parallelism (0 = 1, sequential;
-	// results are deterministic regardless).
-	Workers int
 }
+
+// verifySteps bounds each VF2 verification.
+const verifySteps = 400000
 
 // Result is one query answer.
 type Result struct {
@@ -136,10 +133,6 @@ func (e *Engine) Query(q *graph.Graph, opts Options) ([]Result, Stats) {
 // context stops a pathological verification promptly. On cancellation
 // the results gathered so far are returned along with ctx.Err().
 func (e *Engine) QueryContext(ctx context.Context, q *graph.Graph, opts Options) ([]Result, Stats, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 400000
-	}
 	var cancel func() bool
 	if ctx.Done() != nil {
 		cancel = func() bool { return ctx.Err() != nil }
@@ -147,57 +140,26 @@ func (e *Engine) QueryContext(ctx context.Context, q *graph.Graph, opts Options)
 	cand := e.candidates(q)
 	stats := Stats{Candidates: len(cand), Pruned: e.db.Len() - len(cand)}
 
-	verify := func(id int) *Result {
+	var results []Result
+	for _, id := range cand {
+		if err := ctx.Err(); err != nil {
+			stats.Verified = len(results)
+			return results, stats, err
+		}
 		g := e.db.Get(id)
 		if g == nil {
-			return nil
+			continue
 		}
-		m := iso.FindEmbedding(q, g, iso.Options{MaxSteps: maxSteps, Cancel: cancel})
-		if m == nil {
-			return nil
+		if m := iso.FindEmbedding(q, g, iso.Options{MaxSteps: verifySteps, Cancel: cancel}); m != nil {
+			results = append(results, Result{GraphID: id, Embedding: m})
 		}
-		return &Result{GraphID: id, Embedding: m}
-	}
-
-	var results []Result
-	if opts.Workers > 1 {
-		results = verifyParallel(cand, verify, opts.Workers)
-	} else {
-		for _, id := range cand {
-			if err := ctx.Err(); err != nil {
-				stats.Verified = len(results)
-				return results, stats, err
-			}
-			if r := verify(id); r != nil {
-				results = append(results, *r)
-			}
-			if opts.Limit > 0 && len(results) >= opts.Limit {
-				break
-			}
+		if opts.Limit > 0 && len(results) >= opts.Limit {
+			break
 		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].GraphID < results[j].GraphID })
-	if opts.Limit > 0 && len(results) > opts.Limit {
-		results = results[:opts.Limit]
-	}
 	stats.Verified = len(results)
 	return results, stats, ctx.Err()
-}
-
-// verifyParallel fans verification across the pool into per-candidate
-// slots; the ordered fan-in below reads them in candidate order, so
-// output is deterministic at any worker count.
-func verifyParallel(cand []int, verify func(int) *Result, workers int) []Result {
-	results := parallel.Map(workers, len(cand), nil, func(i int) *Result {
-		return verify(cand[i])
-	})
-	var flat []Result
-	for _, r := range results {
-		if r != nil {
-			flat = append(flat, *r)
-		}
-	}
-	return flat
 }
 
 // Count returns only the number of matching graphs (scov numerator).

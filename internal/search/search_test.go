@@ -106,19 +106,6 @@ func TestScanModeMatchesIndexed(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	db := dataset.AIDSLike().GenerateDB(30, 9)
-	e := NewFromDB(db, 0.4, 3)
-	queries := dataset.Queries(db.Graphs(), 10, 3, 8, 11)
-	for _, q := range queries {
-		seq, _ := e.Query(q, Options{})
-		par, _ := e.Query(q, Options{Workers: 4})
-		if !reflect.DeepEqual(idsOf(seq), idsOf(par)) {
-			t.Fatalf("parallel disagrees: %v vs %v", idsOf(seq), idsOf(par))
-		}
-	}
-}
-
 func TestPropertyAgainstBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		db := dataset.EMolLike().GenerateDB(12, seed)

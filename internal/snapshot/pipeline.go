@@ -54,13 +54,12 @@ type Batch struct {
 	// diverge). Admission hooks use it to distinguish replica installs
 	// from client writes when fencing a follower. FromReplica batches
 	// apply via Engine.ApplyReplicated — the database delta plus the
-	// shipped ReplicaPatterns — never a local re-run of pattern
-	// maintenance, whose decisions are not reproducible from serialized
-	// state.
+	// shipped ReplicaState — never a local re-run of the swap stage.
 	FromReplica bool
-	// ReplicaPatterns is the primary's post-apply pattern set, installed
-	// verbatim. Only read when FromReplica is set.
-	ReplicaPatterns []*graph.Graph
+	// ReplicaState is the primary's post-apply pattern state (patterns,
+	// σ and the pattern-ID allocator), installed verbatim. Only read
+	// when FromReplica is set.
+	ReplicaState midas.PatternState
 	// Engine, when set, replaces the pipeline's engine instead of
 	// applying Update: a replication follower's re-bootstrap installs
 	// the engine it loaded from its upstream's bundle this way, so the
@@ -547,7 +546,7 @@ func (p *Pipeline) attempt(ctx context.Context, j *job) (err error) {
 		case j.batch.Engine != nil:
 			p.eng.Store(j.batch.Engine)
 		case j.batch.FromReplica:
-			rep, err = p.Engine().ApplyReplicated(ctx, j.batch.Update, j.batch.ReplicaPatterns)
+			rep, err = p.Engine().ApplyReplicated(ctx, j.batch.Update, j.batch.ReplicaState)
 		default:
 			p.remapInsertIDs(j.batch.Update)
 			rep, err = p.Engine().MaintainContext(ctx, j.batch.Update)

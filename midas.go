@@ -78,8 +78,6 @@ type Options struct {
 	// Kappa and Lambda are the swapping thresholds of §6.2.
 	Kappa, Lambda float64
 
-	// ClusterK is the number of coarse clusters (0 = auto).
-	ClusterK int
 	// ClusterMaxSize is the fine-clustering threshold N (0 = 50).
 	ClusterMaxSize int
 
@@ -121,7 +119,7 @@ func (o Options) toCore() core.Config {
 		SampleSize: o.SampleSize,
 		Workers:    o.Workers,
 		Seed:       o.Seed,
-		Cluster:    cluster.Config{K: o.ClusterK, MaxSize: o.ClusterMaxSize},
+		Cluster:    cluster.Config{MaxSize: o.ClusterMaxSize},
 	}
 	cfg.AlphaDiv = o.AlphaDiv
 	cfg.AlphaCog = o.AlphaCog
@@ -275,15 +273,23 @@ func (e *Engine) MaintainContext(ctx context.Context, u graph.Update) (Maintenan
 	return fromReport(rep), err
 }
 
+// PatternState is the part of an engine's state that pattern
+// maintenance decides: the canned pattern set, σ (Lemma 6.3) and the
+// pattern-ID allocator. A replication primary ships it with every
+// batch.
+type PatternState = core.PatternState
+
+// PatternState returns a copy of the engine's pattern state.
+func (e *Engine) PatternState() PatternState { return e.inner.PatternState() }
+
 // ApplyReplicated applies a batch whose pattern maintenance already
 // ran on a replication primary: the database delta and structural
-// upkeep are applied locally, and the supplied post-apply pattern set
-// is installed verbatim instead of re-running swap decisions (which
-// read and advance σ and the pattern-ID allocator, which a follower
-// that never swaps does not carry). Transactional like
-// MaintainContext: any error rolls the engine back.
-func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, patterns []*graph.Graph) (MaintenanceReport, error) {
-	rep, err := e.inner.ApplyReplicated(ctx, u, patterns)
+// upkeep are applied locally, and the primary's post-apply pattern
+// state is installed verbatim instead of re-running the swap stage.
+// Afterwards SaveState writes the bytes the primary's engine writes.
+// Transactional like MaintainContext: any error rolls the engine back.
+func (e *Engine) ApplyReplicated(ctx context.Context, u graph.Update, ps PatternState) (MaintenanceReport, error) {
+	rep, err := e.inner.ApplyReplicated(ctx, u, ps)
 	return fromReport(rep), err
 }
 

@@ -256,3 +256,56 @@ func TestRestoreIsTransparentAfterMajorBatch(t *testing.T) {
 		t.Fatalf("restarted engine saved a different bundle after the next batch (%d vs %d bytes)", len(a), len(b))
 	}
 }
+
+// TestRestoreIsTransparentOnDriftTrace replays the benchmark's drift
+// workload (seed 8) in process, with midas-serve's default options and
+// a Quality evaluation after the bootstrap and after every batch, as a
+// snapshot publish does. After batch 12 the engine is saved and
+// restored; batch 13 must then leave both engines on the same bundle.
+// Quality fills the distance cache that Div reads, so the original
+// enters batch 13 with a warm cache and the restored engine with a
+// cold one: the bundles match only if no cache hit changes a result.
+func TestRestoreIsTransparentOnDriftTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 14 drift batches over 200 graphs")
+	}
+	const seed = 8
+	opts := Options{Budget: Budget{MinSize: 3, MaxSize: 6, Count: 10}, SupMin: 0.4, Epsilon: 0.01, Seed: 1}
+	e := New(graph.DatabaseOf(dataset.AIDSLike().Generate(200, 0, 20210620)...), opts)
+	e.Quality()
+	families := []dataset.Profile{dataset.BoronicEsters(), dataset.PubChemLike(), dataset.EMolLike()}
+	batch := func(b int, prev []int) graph.Update {
+		return graph.Update{
+			Insert: families[b%len(families)].Generate(40, 10000*(b+1), seed*7919+int64(10+b)*104729),
+			Delete: prev,
+		}
+	}
+	var prev []int
+	for b := 0; b <= 12; b++ {
+		u := batch(b, prev)
+		if _, err := e.Maintain(u); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		e.Quality()
+		prev = prev[:0]
+		for _, g := range u.Insert {
+			prev = append(prev, g.ID)
+		}
+	}
+	r := restoreExact(t, saveBundle(t, e), 0)
+	u := batch(13, prev)
+	re, err := e.Maintain(cloneUpdate(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := r.Maintain(cloneUpdate(u))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := factsOf(rr), factsOf(re); got != want {
+		t.Fatalf("batch 13: restored engine reported %+v, original %+v", got, want)
+	}
+	if got, want := saveBundle(t, r), saveBundle(t, e); !bytes.Equal(got, want) {
+		t.Fatalf("batch 13: restored engine saved a different bundle (%d vs %d bytes)", len(got), len(want))
+	}
+}

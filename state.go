@@ -92,28 +92,13 @@ func SaveState(w io.Writer, e *Engine) error {
 // SaveStateMeta is SaveState with an attached metadata map, persisted
 // in the bundle header and returned by LoadStateMeta.
 func SaveStateMeta(w io.Writer, e *Engine, meta map[string]string) error {
-	return writeState(w, e, meta, true)
-}
-
-// SaveReplicatedState writes the part of the engine's state that
-// replication binds — the options, the database and the pattern set,
-// without metadata — as a v2 bundle. Replica fingerprints hash these
-// bytes: a follower installs the primary's patterns and never runs a
-// swap, so it cannot reproduce σ or the pattern-ID allocator. A v2
-// bundle loads through the rebuild path.
-func SaveReplicatedState(w io.Writer, e *Engine) error {
-	return writeState(w, e, nil, false)
-}
-
-// writeState writes a v3 bundle, or with maintained false the v2
-// bundle its first two sections make.
-func writeState(w io.Writer, e *Engine, meta map[string]string, maintained bool) error {
 	// The header records the state, not the knob that merely chooses how
 	// it is computed: Workers is normalised out, so bundles — and the
 	// replica fingerprints hashed from them — are byte-identical at
 	// every worker count. Restorers pass their own width to LoadState.
 	opts := e.opts
 	opts.Workers = 0
+	ps := e.inner.PatternState()
 	var payload bytes.Buffer
 	section := func(name string) { payload.WriteString("== " + name + " ==\n") }
 	section("database")
@@ -121,32 +106,30 @@ func writeState(w io.Writer, e *Engine, meta map[string]string, maintained bool)
 		return err
 	}
 	section("patterns")
-	if err := graph.Write(&payload, e.Patterns()); err != nil {
+	if err := graph.Write(&payload, ps.Patterns); err != nil {
 		return err
 	}
-	hdr := stateHeader{
-		Options:  opts,
-		Patterns: len(e.Patterns()),
-		Graphs:   e.DB().Len(),
-		Meta:     meta,
+	section("trees")
+	if err := e.inner.TreeSet().Encode(&payload); err != nil {
+		return err
 	}
-	magic := stateMagicV2
-	if maintained {
-		magic = stateMagic
-		sigma, next, nextGraph := e.inner.Sigma(), e.inner.NextPatternID(), e.DB().NextID()
-		hdr.Sigma, hdr.NextPatternID, hdr.NextGraphID = &sigma, &next, &nextGraph
-		section("trees")
-		if err := e.inner.TreeSet().Encode(&payload); err != nil {
-			return err
-		}
-		section("clusters")
-		if err := e.inner.Clustering().Encode(&payload); err != nil {
-			return err
-		}
-		section("summaries")
-		if err := e.inner.CSGs().Encode(&payload); err != nil {
-			return err
-		}
+	section("clusters")
+	if err := e.inner.Clustering().Encode(&payload); err != nil {
+		return err
+	}
+	section("summaries")
+	if err := e.inner.CSGs().Encode(&payload); err != nil {
+		return err
+	}
+	nextGraph := e.DB().NextID()
+	hdr := stateHeader{
+		Options:       opts,
+		Patterns:      len(ps.Patterns),
+		Graphs:        e.DB().Len(),
+		Sigma:         &ps.Sigma,
+		NextPatternID: &ps.NextPatternID,
+		NextGraphID:   &nextGraph,
+		Meta:          meta,
 	}
 	hdr.CRC = fmt.Sprintf("%08x", store.ChecksumBytes(payload.Bytes()))
 	enc, err := json.Marshal(hdr)
@@ -154,7 +137,7 @@ func writeState(w io.Writer, e *Engine, meta map[string]string, maintained bool)
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s\n%s\n", magic, enc); err != nil {
+	if _, err := fmt.Fprintf(bw, "%s\n%s\n", stateMagic, enc); err != nil {
 		return err
 	}
 	if _, err := bw.Write(payload.Bytes()); err != nil {
